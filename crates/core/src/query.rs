@@ -134,8 +134,39 @@ pub struct SearchHit {
     pub position: Point,
 }
 
-/// How a streamed window query will be produced — what
-/// [`QueryManager::window_stream_plan`] hands back.
+/// One window request as the planner sees it: the layer and rectangle,
+/// the delta anchor, an optional pushdown predicate (with the chooser
+/// mode) and an optional rid-range restriction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowSpec<'p> {
+    pub layer: usize,
+    pub rect: Rect,
+    /// The session's previous window, preferred as the delta base.
+    pub anchor: Option<Rect>,
+    pub predicate: Option<&'p Predicate>,
+    pub mode: FilterMode,
+    /// Only rows whose [`RowId`] falls in `lo..=hi` (the router's
+    /// fan-out primitive). Bypasses the cache in both directions.
+    pub rid_range: Option<(u64, u64)>,
+}
+
+impl WindowSpec<'_> {
+    /// A plain window: no anchor, predicate or rid range.
+    pub fn new(layer: usize, rect: Rect) -> Self {
+        WindowSpec {
+            layer,
+            rect,
+            anchor: None,
+            predicate: None,
+            mode: FilterMode::Auto,
+            rid_range: None,
+        }
+    }
+}
+
+/// How a window query will be produced — what the planner hands back.
+/// Streaming emits it ([`StreamPlan::Built`] sliced by span index,
+/// [`StreamPlan::Cold`] chunk by chunk); a buffered query drains it.
 pub enum StreamPlan<'a> {
     /// The payload already exists (exact cache hit, or a delta splice
     /// that just ran): slice the frames out of it by span index.
@@ -148,15 +179,29 @@ pub enum StreamPlan<'a> {
     Cold(Box<ColdWindowStream<'a>>),
 }
 
-/// A cold window query being streamed chunk-at-a-time.
+impl StreamPlan<'_> {
+    /// The buffered response: `Built` as-is; `Cold` fetched in one batch,
+    /// built once and cached, all under the read guard it was planned
+    /// under, so the response is exact at its epoch.
+    pub(crate) fn drain(self) -> Result<WindowResponse> {
+        match self {
+            StreamPlan::Built(response) => Ok(response),
+            StreamPlan::Cold(cold) => cold.drain(),
+        }
+    }
+}
+
+/// A cold window query, planned and ready to fetch.
 ///
-/// The planning step ran the R-tree descent and snapshotted the layer
-/// epoch; each [`ColdWindowStream::next_chunk`] call then re-acquires
-/// the database read guard just long enough to **validate the epoch**
-/// and batch-fetch one chunk of candidates (page-sorted pinning via
-/// `LayerTable::fetch_many`), and serializes the chunk *after dropping
-/// the guard* — so the caller emits every frame with no lock held and a
-/// slow client never blocks a writer.
+/// The planner ran the candidate selection (R-tree descent, chooser or
+/// rid range) and snapshotted the layer epoch under the database read
+/// guard, which the stream still holds. A buffered query drains it under
+/// that guard. A stream releases it before its first frame; each
+/// [`ColdWindowStream::next_chunk`] call then re-acquires the guard just
+/// long enough to **validate the epoch** and batch-fetch one chunk of
+/// candidates (page-sorted pinning via `LayerTable::fetch_many`), and
+/// serializes the chunk *after dropping the guard* — so the caller emits
+/// every frame with no lock held and a slow client never blocks a writer.
 ///
 /// A racing edit flips the stream to lame-duck mode rather than
 /// aborting: remaining chunks still stream (an insert never moves
@@ -168,6 +213,8 @@ pub enum StreamPlan<'a> {
 /// erroring.
 pub struct ColdWindowStream<'a> {
     qm: &'a QueryManager,
+    /// The read guard the plan was made under, until released.
+    pin: Option<DbReadGuard<'a>>,
     layer: usize,
     window: Rect,
     epoch: u64,
@@ -182,13 +229,16 @@ pub struct ColdWindowStream<'a> {
     rows: Vec<(RowId, EdgeRow)>,
     epoch_valid: bool,
     /// Pushdown predicate: applied while chunks are kept or dropped, so
-    /// filtered-out rows never reach the serializer. Filtered results
-    /// are never cached ([`ColdWindowStream::finish`]).
+    /// filtered-out rows never reach the serializer.
     filter: Option<CompiledFilter>,
-    /// Whether [`ColdWindowStream::finish`] may seed the window cache.
-    /// Rid-range-restricted streams (the router fan-out primitive) carry
-    /// partial windows that must never masquerade as the whole answer.
+    /// Whether the result may seed the window cache: only whole,
+    /// unfiltered windows may. Filtered and rid-range results must never
+    /// masquerade as the whole answer.
     cacheable: bool,
+    /// Candidate selection time (ms), part of a drained response's `db_ms`.
+    plan_ms: f64,
+    /// Cache probe time (ms) spent before the window was found cold.
+    cache_ms: f64,
 }
 
 /// What a fully drained [`ColdWindowStream`] streamed, for the trailer.
@@ -200,7 +250,7 @@ pub struct ColdStreamSummary {
     pub rows_fetched: usize,
 }
 
-impl ColdWindowStream<'_> {
+impl<'a> ColdWindowStream<'a> {
     /// The epoch snapshotted at plan time — what the stream header
     /// advertises.
     pub fn epoch(&self) -> u64 {
@@ -223,6 +273,19 @@ impl ColdWindowStream<'_> {
         &self.rows
     }
 
+    /// Release the planning read guard. A stream calls this before its
+    /// first frame, so no lock is held while a frame is emitted.
+    pub(crate) fn unpin(&mut self) {
+        self.pin = None;
+    }
+
+    /// Whether a fetched row belongs in the result: the window test (for
+    /// index-path candidates) and the predicate.
+    fn keeps(&self, row: &EdgeRow) -> bool {
+        in_window(row, &self.window, self.exact)
+            && self.filter.as_ref().is_none_or(|f| f.matches_row(row))
+    }
+
     /// Fetch and serialize the next non-empty chunk: at most
     /// `chunk_rows` candidates are heap-fetched under the read guard,
     /// filtered, and appended to the incremental payload; the returned
@@ -232,6 +295,9 @@ impl ColdWindowStream<'_> {
     /// candidates all fail the filter are skipped, so a returned frame
     /// always carries at least one edge.
     pub fn next_chunk(&mut self, chunk_rows: usize) -> Result<Option<crate::json::GraphFrame>> {
+        // Re-acquiring below while still pinned could deadlock behind a
+        // queued writer.
+        self.unpin();
         while self.pos < self.candidates.len() {
             let chunk = if self.rows.is_empty() {
                 chunk_rows / 4
@@ -263,10 +329,7 @@ impl ColdWindowStream<'_> {
             self.pos = end;
             let mut kept: Vec<(RowId, EdgeRow)> = fetched
                 .into_iter()
-                .filter(|(_, row)| {
-                    in_window(row, &self.window, self.exact)
-                        && self.filter.as_ref().is_none_or(|f| f.matches_row(row))
-                })
+                .filter(|(_, row)| self.keeps(row))
                 .collect();
             if kept.is_empty() {
                 continue;
@@ -280,42 +343,80 @@ impl ColdWindowStream<'_> {
 
     /// Finalize the stream: assemble the full payload from the chunks
     /// already serialized (no second pass) and — when no edit raced the
-    /// stream — insert it into the window cache exactly like a buffered
-    /// cold query would, so the *next* request for this window is a hit
-    /// or a delta base. Filtered streams are never cached: the cache
-    /// holds only unfiltered windows, which every predicate then filters
-    /// on top of. Returns the trailer counts.
+    /// stream — seed the window cache exactly like a buffered cold query,
+    /// so the *next* request for this window is a hit or a delta base.
+    /// Returns the trailer counts.
     pub fn finish(self) -> ColdStreamSummary {
-        let rows_fetched = self.candidates.len();
-        let rows = Arc::new(self.rows);
         let summary = ColdStreamSummary {
-            rows: rows.len(),
-            rows_fetched,
+            rows: self.rows.len(),
+            rows_fetched: self.candidates.len(),
         };
-        if !self.epoch_valid || self.filter.is_some() || !self.cacheable {
-            return summary;
-        }
-        let json = Arc::new(self.builder.finish());
-        let (rids, node_refs) = if self.qm.cache.min_delta_overlap() <= 1.0 {
-            (
-                rows.iter().map(|(rid, _)| *rid).collect(),
-                CachedWindow::count_node_refs(&rows),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        self.qm.cache.insert(
-            self.layer,
-            &self.window,
-            self.epoch,
-            CachedWindow {
-                node_refs: Arc::new(node_refs),
-                rids: Arc::new(rids),
-                rows,
+        if self.cacheable && self.epoch_valid {
+            let json = Arc::new(self.builder.finish());
+            self.qm.seed_cache(
+                self.layer,
+                &self.window,
+                self.epoch,
+                Arc::new(self.rows),
                 json,
-            },
-        );
+            );
+        }
         summary
+    }
+
+    /// Fetch every candidate in one batch under the planning guard and
+    /// keep the rows [`ColdWindowStream::keeps`]. Returns the guard too,
+    /// so the caller can finish its work under it.
+    fn fetch_pinned(&mut self) -> Result<(DbReadGuard<'a>, Vec<(RowId, EdgeRow)>)> {
+        let db = self
+            .pin
+            .take()
+            .expect("a cold plan is drained under its planning guard");
+        let table = db
+            .layer(self.layer)
+            .ok_or_else(|| StorageError::LayerNotFound(format!("index {}", self.layer)))?;
+        let mut rows = table.fetch_many(db.pool(), &self.candidates)?;
+        rows.retain(|(_, row)| self.keeps(row));
+        Ok((db, rows))
+    }
+
+    /// The buffered form of the cold path: one batched fetch, one payload
+    /// build, and the same cache seeding as
+    /// [`ColdWindowStream::finish`], all under the planning guard.
+    fn drain(mut self) -> Result<WindowResponse> {
+        let t = Instant::now();
+        let (_db, rows) = self.fetch_pinned()?;
+        let rows = Arc::new(rows);
+        let db_ms = self.plan_ms + t.elapsed().as_secs_f64() * 1e3;
+
+        let t = Instant::now();
+        self.builder.push_rows(&rows);
+        let json = Arc::new(self.builder.finish());
+        let build_json_ms = t.elapsed().as_secs_f64() * 1e3;
+        if self.cacheable {
+            self.qm.seed_cache(
+                self.layer,
+                &self.window,
+                self.epoch,
+                rows.clone(),
+                json.clone(),
+            );
+        }
+        let client = self.qm.client.deliver(&json);
+        Ok(WindowResponse {
+            rows,
+            json,
+            db_ms,
+            build_json_ms,
+            cache_ms: self.cache_ms,
+            epoch: self.epoch,
+            cache_hit: false,
+            delta: false,
+            rows_reused: 0,
+            rows_fetched: self.candidates.len(),
+            arrival_rids: Vec::new(),
+            client,
+        })
     }
 }
 
@@ -674,134 +775,11 @@ impl QueryManager {
         window: &Rect,
         anchor: Option<&Rect>,
     ) -> Result<WindowResponse> {
-        // The read guard is held for the whole query: edits are fenced
-        // out, so the epoch loaded below is exact for everything this
-        // query reads, caches and returns.
-        let db = self.db.read();
-        // Resolve the layer before consulting the cache so an invalid
-        // layer is an error, not a counted miss.
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let epoch = self.layer_epoch(layer);
-
-        let t = Instant::now();
-        if let Some(CachedWindow { rows, json, .. }) = self.cache.get(layer, window, epoch) {
-            // Arc handles shared with the cache entry: no payload copy.
-            let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-            let rows_reused = rows.len();
-            let client = self.client.deliver(&json);
-            return Ok(WindowResponse {
-                rows,
-                json,
-                db_ms: 0.0,
-                build_json_ms: 0.0,
-                cache_ms,
-                epoch,
-                cache_hit: true,
-                delta: false,
-                rows_reused,
-                rows_fetched: 0,
-                arrival_rids: Vec::new(),
-                client,
-            });
-        }
-        // Partial hit: prefer the caller's anchor if it is still cached
-        // and covers enough of the new window; otherwise scan for the
-        // best overlapping entry. Both probes are epoch-checked, so an
-        // anchor from before an edit can never seed the delta path.
-        let base = self
-            .anchored_base(layer, window, epoch, anchor)
-            .or_else(|| {
-                self.cache
-                    .best_overlap(layer, window, epoch, self.cache.min_delta_overlap())
-            });
-        let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        match base {
-            Some((old_rect, old)) => {
-                self.delta_window_query(&db, table, layer, epoch, window, &old_rect, &old, cache_ms)
-            }
-            None => self.cold_window_query(&db, table, layer, epoch, window, cache_ms),
-        }
-    }
-
-    /// Plan a **streamed** window query: probe the cache and delta paths
-    /// exactly like [`QueryManager::window_query_anchored`], but when the
-    /// window is cold, return a [`ColdWindowStream`] instead of computing
-    /// everything up front — the caller then drives
-    /// [`ColdWindowStream::next_chunk`] to fetch, serialize, and emit the
-    /// result chunk-at-a-time, with the first frame leaving before the
-    /// second chunk's pages pin. Hit and delta windows come back
-    /// [`StreamPlan::Built`]: their payload already exists (shared Arc or
-    /// one splice), and the caller slices frames out of it by span index
-    /// ([`GraphJson::frame_slices`]) without re-serializing.
-    pub fn window_stream_plan(
-        &self,
-        layer: usize,
-        window: &Rect,
-        anchor: Option<&Rect>,
-    ) -> Result<StreamPlan<'_>> {
-        let db = self.db.read();
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let epoch = self.layer_epoch(layer);
-
-        let t = Instant::now();
-        if let Some(CachedWindow { rows, json, .. }) = self.cache.get(layer, window, epoch) {
-            let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-            let rows_reused = rows.len();
-            let client = self.client.deliver(&json);
-            return Ok(StreamPlan::Built(WindowResponse {
-                rows,
-                json,
-                db_ms: 0.0,
-                build_json_ms: 0.0,
-                cache_ms,
-                epoch,
-                cache_hit: true,
-                delta: false,
-                rows_reused,
-                rows_fetched: 0,
-                arrival_rids: Vec::new(),
-                client,
-            }));
-        }
-        let base = self
-            .anchored_base(layer, window, epoch, anchor)
-            .or_else(|| {
-                self.cache
-                    .best_overlap(layer, window, epoch, self.cache.min_delta_overlap())
-            });
-        let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-        if let Some((old_rect, old)) = base {
-            return self
-                .delta_window_query(&db, table, layer, epoch, window, &old_rect, &old, cache_ms)
-                .map(StreamPlan::Built);
-        }
-
-        // Cold: only the R-tree descent runs under this read guard. The
-        // candidate list comes back ascending, so the chunked heap fetch
-        // visits pages in order and every chunk's page set is disjoint
-        // from every other chunk's.
-        let candidates = table.window_rids(db.pool(), window)?;
-        drop(db);
-        let builder = GraphJsonBuilder::with_capacity(candidates.len() * 96);
-        Ok(StreamPlan::Cold(Box::new(ColdWindowStream {
-            qm: self,
-            layer,
-            window: *window,
-            epoch,
-            candidates,
-            exact: true,
-            pos: 0,
-            builder,
-            rows: Vec::new(),
-            epoch_valid: true,
-            filter: None,
-            cacheable: true,
-        })))
+        self.window_plan(&WindowSpec {
+            anchor: anchor.copied(),
+            ..WindowSpec::new(layer, *window)
+        })?
+        .drain()
     }
 
     /// [`QueryManager::window_query_anchored`] with a pushdown
@@ -820,131 +798,135 @@ impl QueryManager {
         pred: &Predicate,
         mode: FilterMode,
     ) -> Result<WindowResponse> {
-        let db = self.db.read();
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let epoch = self.layer_epoch(layer);
-        let filter = CompiledFilter::new(pred.clone(), table.sidecar().cloned());
-
-        let t = Instant::now();
-        if let Some(CachedWindow { rows, .. }) = self.cache.get(layer, window, epoch) {
-            let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-            return Ok(self.filter_built(&filter, &rows, epoch, cache_ms, true, false, 0, &[]));
-        }
-        let base = self
-            .anchored_base(layer, window, epoch, anchor)
-            .or_else(|| {
-                self.cache
-                    .best_overlap(layer, window, epoch, self.cache.min_delta_overlap())
-            });
-        let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-        if let Some((old_rect, old)) = base {
-            // The unfiltered delta runs (and re-caches) first; the
-            // filter then applies on top of its row set.
-            let resp = self
-                .delta_window_query(&db, table, layer, epoch, window, &old_rect, &old, cache_ms)?;
-            return Ok(self.filter_built(
-                &filter,
-                &resp.rows,
-                epoch,
-                resp.cache_ms,
-                false,
-                true,
-                resp.rows_fetched,
-                &resp.arrival_rids,
-            ));
-        }
-
-        // Cold: the chooser picks index-probe vs scan-and-filter.
-        let t = Instant::now();
-        let (candidates, exact) = self.filtered_candidates(&db, table, window, &filter, mode)?;
-        let rows_fetched = candidates.len();
-        let mut rows = table.fetch_many(db.pool(), &candidates)?;
-        rows.retain(|(_, row)| in_window(row, window, exact) && filter.matches_row(row));
-        let rows = Arc::new(rows);
-        let db_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let json = Arc::new(build_graph_json(&rows));
-        let build_json_ms = t.elapsed().as_secs_f64() * 1e3;
-        let client = self.client.deliver(&json);
-        Ok(WindowResponse {
-            rows,
-            json,
-            db_ms,
-            build_json_ms,
-            cache_ms,
-            epoch,
-            cache_hit: false,
-            delta: false,
-            rows_reused: 0,
-            rows_fetched,
-            arrival_rids: Vec::new(),
-            client,
-        })
+        self.window_plan(&WindowSpec {
+            anchor: anchor.copied(),
+            predicate: Some(pred),
+            mode,
+            ..WindowSpec::new(layer, *window)
+        })?
+        .drain()
     }
 
-    /// Streamed twin of [`QueryManager::window_query_filtered`]: hit and
-    /// delta windows come back [`StreamPlan::Built`] holding only the
-    /// surviving rows; a cold window returns a [`ColdWindowStream`] with
-    /// the predicate pushed into its chunk loop (and caching disabled).
-    pub fn window_stream_plan_filtered(
+    /// Buffered rid-range window: the rows of `window` whose [`RowId`]
+    /// falls in `lo..=hi`, ascending by rid, with the epoch they were
+    /// read at. The cold path's candidates and batched fetch, with no
+    /// payload built; bypasses the cache in both directions.
+    pub fn window_rows_range(
         &self,
         layer: usize,
         window: &Rect,
-        anchor: Option<&Rect>,
-        pred: &Predicate,
-        mode: FilterMode,
-    ) -> Result<StreamPlan<'_>> {
+        lo: u64,
+        hi: u64,
+    ) -> Result<(u64, Vec<(RowId, EdgeRow)>)> {
+        let spec = WindowSpec {
+            rid_range: Some((lo, hi)),
+            ..WindowSpec::new(layer, *window)
+        };
+        match self.window_plan(&spec)? {
+            StreamPlan::Cold(mut cold) => Ok((cold.epoch, cold.fetch_pinned()?.1)),
+            StreamPlan::Built(_) => unreachable!("rid-range windows bypass the cache"),
+        }
+    }
+
+    /// The window planner behind every window entry point, buffered or
+    /// streamed. Under one read guard it resolves the layer, samples the
+    /// epoch and probes the cache:
+    ///
+    /// * an exact hit, or a delta splice off the anchor or the best
+    ///   overlapping entry, comes back [`StreamPlan::Built`] — filtered
+    ///   on top when the spec has a predicate, since the cache holds
+    ///   unfiltered windows only;
+    /// * otherwise the window is cold: candidates come from the R-tree,
+    ///   or from the access-path chooser under a predicate, restricted to
+    ///   the rid range if there is one, and the plan is a
+    ///   [`ColdWindowStream`] still holding the read guard.
+    ///
+    /// Rid-range windows skip the cache probe: a slice must never be
+    /// served or stored as the whole window. Candidates are ascending,
+    /// so the chunked fetch visits pages in order, and the streams of
+    /// adjacent rid ranges concatenate to the unrestricted stream.
+    pub(crate) fn window_plan(&self, spec: &WindowSpec<'_>) -> Result<StreamPlan<'_>> {
+        let (layer, window) = (spec.layer, &spec.rect);
         let db = self.db.read();
+        // Resolve the layer before consulting the cache so an invalid
+        // layer is an error, not a counted miss.
         let table = db
             .layer(layer)
             .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
         let epoch = self.layer_epoch(layer);
-        let filter = CompiledFilter::new(pred.clone(), table.sidecar().cloned());
+        let filter = spec
+            .predicate
+            .map(|p| CompiledFilter::new(p.clone(), table.sidecar().cloned()));
 
         let t = Instant::now();
-        if let Some(CachedWindow { rows, .. }) = self.cache.get(layer, window, epoch) {
-            let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-            return Ok(StreamPlan::Built(self.filter_built(
-                &filter,
-                &rows,
-                epoch,
-                cache_ms,
-                true,
-                false,
-                0,
-                &[],
-            )));
+        if spec.rid_range.is_none() {
+            let built = if let Some(CachedWindow { rows, json, .. }) =
+                self.cache.get(layer, window, epoch)
+            {
+                // Arc handles shared with the cache entry: no payload copy.
+                let cache_ms = t.elapsed().as_secs_f64() * 1e3;
+                let rows_reused = rows.len();
+                let client = self.client.deliver(&json);
+                Some(WindowResponse {
+                    rows,
+                    json,
+                    db_ms: 0.0,
+                    build_json_ms: 0.0,
+                    cache_ms,
+                    epoch,
+                    cache_hit: true,
+                    delta: false,
+                    rows_reused,
+                    rows_fetched: 0,
+                    arrival_rids: Vec::new(),
+                    client,
+                })
+            } else {
+                // Partial hit: prefer the caller's anchor if it is still
+                // cached and covers enough of the new window; otherwise
+                // scan for the best overlapping entry. Both probes are
+                // epoch-checked, so an anchor from before an edit can
+                // never seed the delta path.
+                let base = self
+                    .anchored_base(layer, window, epoch, spec.anchor.as_ref())
+                    .or_else(|| {
+                        self.cache.best_overlap(
+                            layer,
+                            window,
+                            epoch,
+                            self.cache.min_delta_overlap(),
+                        )
+                    });
+                let cache_ms = t.elapsed().as_secs_f64() * 1e3;
+                match base {
+                    Some((old_rect, old)) => Some(self.delta_window_query(
+                        &db, table, layer, epoch, window, &old_rect, &old, cache_ms,
+                    )?),
+                    None => None,
+                }
+            };
+            if let Some(response) = built {
+                return Ok(StreamPlan::Built(match &filter {
+                    Some(f) => self.filter_built(f, response),
+                    None => response,
+                }));
+            }
         }
-        let base = self
-            .anchored_base(layer, window, epoch, anchor)
-            .or_else(|| {
-                self.cache
-                    .best_overlap(layer, window, epoch, self.cache.min_delta_overlap())
-            });
         let cache_ms = t.elapsed().as_secs_f64() * 1e3;
-        if let Some((old_rect, old)) = base {
-            let resp = self
-                .delta_window_query(&db, table, layer, epoch, window, &old_rect, &old, cache_ms)?;
-            return Ok(StreamPlan::Built(self.filter_built(
-                &filter,
-                &resp.rows,
-                epoch,
-                resp.cache_ms,
-                false,
-                true,
-                resp.rows_fetched,
-                &resp.arrival_rids,
-            )));
-        }
 
-        let (candidates, exact) = self.filtered_candidates(&db, table, window, &filter, mode)?;
-        drop(db);
+        let t = Instant::now();
+        let (mut candidates, exact) = match &filter {
+            Some(f) => self.filtered_candidates(&db, table, window, f, spec.mode)?,
+            None => (table.window_rids(db.pool(), window)?, true),
+        };
+        if let Some((lo, hi)) = spec.rid_range {
+            candidates.retain(|rid| (lo..=hi).contains(&rid.to_u64()));
+        }
+        let plan_ms = t.elapsed().as_secs_f64() * 1e3;
         let builder = GraphJsonBuilder::with_capacity(candidates.len() * 96);
         Ok(StreamPlan::Cold(Box::new(ColdWindowStream {
             qm: self,
+            pin: Some(db),
             layer,
             window: *window,
             epoch,
@@ -954,94 +936,46 @@ impl QueryManager {
             builder,
             rows: Vec::new(),
             epoch_valid: true,
-            filter: Some(filter),
-            cacheable: true,
+            cacheable: filter.is_none() && spec.rid_range.is_none(),
+            filter,
+            plan_ms,
+            cache_ms,
         })))
     }
 
-    /// Streamed rid-range window: the shard-side half of the router's
-    /// fan-out/merge. Plans a **cold** stream over only the candidates
-    /// whose [`RowId`] falls in `lo..=hi` — cache and delta paths are
-    /// bypassed entirely (the range restriction is an internal fan-out
-    /// primitive, not an interactive query) and the result is never
-    /// cached. Candidates are sorted ascending, so the emitted row
-    /// stream is ascending by rid; concatenating the streams of
-    /// disjoint adjacent ranges reproduces the unrestricted stream's
-    /// row order exactly.
-    pub fn window_stream_plan_range(
+    /// Insert a cold window's result into the cache. The entry shares the
+    /// response's Arcs, so inserting copies nothing. The rid column and
+    /// node-reference index seed future delta queries anchored on this
+    /// window — skipped when the delta path is disabled
+    /// ([`CacheConfig::min_delta_overlap`] above 1.0, the benchmark
+    /// baseline), so the baseline pays no incremental-engine bookkeeping.
+    fn seed_cache(
         &self,
         layer: usize,
         window: &Rect,
-        lo: u64,
-        hi: u64,
-    ) -> Result<StreamPlan<'_>> {
-        let db = self.db.read();
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let epoch = self.layer_epoch(layer);
-        let mut candidates = table.window_rids(db.pool(), window)?;
-        drop(db);
-        candidates.retain(|rid| {
-            let v = rid.to_u64();
-            lo <= v && v <= hi
-        });
-        let builder = GraphJsonBuilder::with_capacity(candidates.len() * 96);
-        Ok(StreamPlan::Cold(Box::new(ColdWindowStream {
-            qm: self,
+        epoch: u64,
+        rows: Arc<Vec<(RowId, EdgeRow)>>,
+        json: Arc<GraphJson>,
+    ) {
+        let (rids, node_refs) = if self.cache.min_delta_overlap() <= 1.0 {
+            (
+                rows.iter().map(|(rid, _)| *rid).collect(),
+                CachedWindow::count_node_refs(&rows),
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        self.cache.insert(
             layer,
-            window: *window,
+            window,
             epoch,
-            candidates,
-            exact: true,
-            pos: 0,
-            builder,
-            rows: Vec::new(),
-            epoch_valid: true,
-            filter: None,
-            cacheable: false,
-        })))
-    }
-
-    /// Buffered rid-range window: the rows of `window` whose [`RowId`]
-    /// falls in `lo..=hi`, ascending by rid, with the epoch they were
-    /// read at. Same pipeline as the cold window path (exact R-tree
-    /// candidates, page-sorted heap fetch); bypasses the cache in both
-    /// directions.
-    pub fn window_rows_range(
-        &self,
-        layer: usize,
-        window: &Rect,
-        lo: u64,
-        hi: u64,
-    ) -> Result<(u64, Vec<(RowId, EdgeRow)>)> {
-        let db = self.db.read();
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let epoch = self.layer_epoch(layer);
-        let mut candidates = table.window_rids(db.pool(), window)?;
-        candidates.retain(|rid| {
-            let v = rid.to_u64();
-            lo <= v && v <= hi
-        });
-        let rows = table.fetch_many(db.pool(), &candidates)?;
-        debug_assert_in_window(&rows, window);
-        Ok((epoch, rows))
-    }
-
-    /// Highest [`RowId`] present in `layer` (as `to_u64`; 0 when empty).
-    /// A router splits `[0, rid_max]` into per-shard ranges — O(rows)
-    /// via a whole-plane R-tree descent, acceptable for the rare
-    /// `list_layers` call that feeds shard-map construction.
-    pub fn layer_rid_max(&self, layer: usize) -> Result<u64> {
-        let db = self.db.read();
-        let table = db
-            .layer(layer)
-            .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
-        let everything = Rect::new(f64::MIN, f64::MIN, f64::MAX, f64::MAX);
-        let rids = table.window_rids(db.pool(), &everything)?;
-        Ok(rids.iter().map(|r| r.to_u64()).max().unwrap_or(0))
+            CachedWindow {
+                node_refs: Arc::new(node_refs),
+                rids: Arc::new(rids),
+                rows,
+                json,
+            },
+        );
     }
 
     /// Window aggregation: reduce the (optionally filtered) window to
@@ -1105,25 +1039,14 @@ impl QueryManager {
         }
     }
 
-    /// Filter an already-built (cached or delta-spliced) row set and
+    /// Filter an already-built (cached or delta-spliced) response and
     /// rebuild the payload over the survivors. The filtered payload is
     /// canonical (freshly built), so packed streaming still applies.
-    /// `arrivals` carries the unfiltered delta's arrival rids; only the
-    /// ones that survive the filter tag the response.
-    #[allow(clippy::too_many_arguments)]
-    fn filter_built(
-        &self,
-        filter: &CompiledFilter,
-        rows: &[(RowId, EdgeRow)],
-        epoch: u64,
-        cache_ms: f64,
-        cache_hit: bool,
-        delta: bool,
-        rows_fetched: usize,
-        arrivals: &[RowId],
-    ) -> WindowResponse {
+    /// Only the delta arrivals that survive the filter tag the result.
+    fn filter_built(&self, filter: &CompiledFilter, built: WindowResponse) -> WindowResponse {
         let t = Instant::now();
-        let kept: Vec<(RowId, EdgeRow)> = rows
+        let kept: Vec<(RowId, EdgeRow)> = built
+            .rows
             .iter()
             .filter(|(_, row)| filter.matches_row(row))
             .cloned()
@@ -1132,31 +1055,28 @@ impl QueryManager {
         // through a sorted copy of the surviving rids.
         let mut kept_rids: Vec<RowId> = kept.iter().map(|(rid, _)| *rid).collect();
         kept_rids.sort_unstable();
-        let arrival_rids: Vec<RowId> = arrivals
+        let arrival_rids: Vec<RowId> = built
+            .arrival_rids
             .iter()
             .copied()
             .filter(|r| kept_rids.binary_search(r).is_ok())
             .collect();
         let rows_reused = kept.len() - arrival_rids.len();
         let kept = Arc::new(kept);
-        let db_ms = t.elapsed().as_secs_f64() * 1e3;
+        let db_ms = built.db_ms + t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
         let json = Arc::new(build_graph_json(&kept));
-        let build_json_ms = t.elapsed().as_secs_f64() * 1e3;
+        let build_json_ms = built.build_json_ms + t.elapsed().as_secs_f64() * 1e3;
         let client = self.client.deliver(&json);
         WindowResponse {
             rows: kept,
             json,
             db_ms,
             build_json_ms,
-            cache_ms,
-            epoch,
-            cache_hit,
-            delta,
             rows_reused,
-            rows_fetched,
             arrival_rids,
             client,
+            ..built
         }
     }
 
@@ -1187,73 +1107,6 @@ impl QueryManager {
         let value = self.cache.peek(layer, a, epoch)?;
         self.cache.count_partial_hit();
         Some((*a, value))
-    }
-
-    /// The uncached path: full R-tree descent (exact: the leaves run the
-    /// segment test) + batched heap fetch + full JSON build.
-    #[allow(clippy::too_many_arguments)]
-    fn cold_window_query(
-        &self,
-        db: &GraphDb,
-        table: &LayerTable,
-        layer: usize,
-        epoch: u64,
-        window: &Rect,
-        cache_ms: f64,
-    ) -> Result<WindowResponse> {
-        let t = Instant::now();
-        let candidates = table.window_rids(db.pool(), window)?;
-        let rows_fetched = candidates.len();
-        let rows = table.fetch_many(db.pool(), &candidates)?;
-        debug_assert_in_window(&rows, window);
-        let rows = Arc::new(rows);
-        let db_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        let t = Instant::now();
-        let json = Arc::new(build_graph_json(&rows));
-        let build_json_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // The cache entry shares the same Arcs as the response: inserting
-        // copies nothing. The rid column and node-reference index seed
-        // future delta queries anchored on this window — skipped when the
-        // delta path is disabled ([`CacheConfig::min_delta_overlap`] above
-        // 1.0, the benchmark baseline), so the baseline pays no
-        // incremental-engine bookkeeping.
-        let (rids, node_refs) = if self.cache.min_delta_overlap() <= 1.0 {
-            (
-                rows.iter().map(|(rid, _)| *rid).collect(),
-                CachedWindow::count_node_refs(&rows),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        self.cache.insert(
-            layer,
-            window,
-            epoch,
-            CachedWindow {
-                node_refs: Arc::new(node_refs),
-                rids: Arc::new(rids),
-                rows: rows.clone(),
-                json: json.clone(),
-            },
-        );
-
-        let client = self.client.deliver(&json);
-        Ok(WindowResponse {
-            rows,
-            json,
-            db_ms,
-            build_json_ms,
-            cache_ms,
-            epoch,
-            cache_hit: false,
-            delta: false,
-            rows_reused: 0,
-            rows_fetched,
-            arrival_rids: Vec::new(),
-            client,
-        })
     }
 
     /// The delta path: assemble `window`'s result from an overlapping
@@ -1846,10 +1699,12 @@ mod tests {
         assert_eq!(qm.chooser_counts(), (1, 0), "the chooser took the index");
         assert_eq!(*resp.rows, expected);
 
-        let StreamPlan::Cold(mut cold) = qm
-            .window_stream_plan_filtered(0, &window, None, &pred, FilterMode::ForceIndex)
-            .unwrap()
-        else {
+        let spec = WindowSpec {
+            predicate: Some(&pred),
+            mode: FilterMode::ForceIndex,
+            ..WindowSpec::new(0, window)
+        };
+        let StreamPlan::Cold(mut cold) = qm.window_plan(&spec).unwrap() else {
             panic!("nothing cached: the plan is cold")
         };
         while cold.next_chunk(4).unwrap().is_some() {}

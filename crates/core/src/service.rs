@@ -28,8 +28,8 @@
 //! session state never leak across datasets.
 
 use crate::filter::FilterMode;
-use crate::json::build_graph_json;
-use crate::query::{QueryManager, SearchHit, StreamPlan, WindowResponse};
+use crate::json::{build_graph_json, GraphFrame};
+use crate::query::{QueryManager, SearchHit, StreamPlan, WindowResponse, WindowSpec};
 use crate::registry::SessionId;
 use crate::workspace::SharedWorkspace;
 use gvdb_api::{
@@ -63,13 +63,7 @@ pub struct WindowOutcome {
 impl WindowOutcome {
     /// How the response was produced, as the wire enum.
     pub fn source(&self) -> Source {
-        if self.response.cache_hit {
-            Source::Hit
-        } else if self.response.delta {
-            Source::Delta
-        } else {
-            Source::Cold
-        }
+        source_of(&self.response)
     }
 
     /// The response metadata as the wire DTO.
@@ -407,20 +401,15 @@ fn call_dataset(name: &str, qm: &QueryManager, request: &ApiRequest) -> ApiResul
             dataset: name.to_string(),
             layers: layer_infos(qm),
         }),
-        ApiRequest::Window {
-            layer,
-            window,
-            session,
-            predicate,
-            rid_range,
-            ..
-        } => match rid_range {
-            Some((lo, hi)) => {
-                check_range_combines(*session, predicate.as_ref())?;
-                window_range_op(name, qm, *layer, window, *lo, *hi)
-            }
-            None => window_op(name, qm, *layer, window, *session, predicate.as_ref()),
-        },
+        ApiRequest::Window { .. } => {
+            let (target, plan) = plan_window(qm, request)?;
+            Ok(ApiOutcome::Window(WindowOutcome {
+                dataset: name.to_string(),
+                layer: target.layer,
+                response: plan.drain().map_err(storage_error)?,
+                session: target.session,
+            }))
+        }
         ApiRequest::Search {
             layer,
             query,
@@ -510,61 +499,65 @@ fn call_dataset(name: &str, qm: &QueryManager, request: &ApiRequest) -> ApiResul
     }
 }
 
-fn window_op(
-    name: &str,
-    qm: &QueryManager,
-    layer: Option<usize>,
-    window: &RectDto,
+/// Where a planned window's answer is addressed: the resolved layer and
+/// the session that anchored it.
+struct WindowTarget {
+    layer: usize,
     session: Option<SessionId>,
-    predicate: Option<&Predicate>,
-) -> ApiResult<ApiOutcome> {
-    let rect = to_rect(window)?;
-    match session {
-        Some(sid) => {
-            let handle = qm.sessions().get(sid).ok_or_else(|| unknown_session(sid))?;
-            // Per-session lock: one client's requests are ordered,
-            // different clients run concurrently.
-            let mut session = handle.lock();
-            // A request that omits `layer` stays on the session's current
-            // layer (keeping its delta anchor) instead of snapping to 0.
-            let layer = layer.unwrap_or_else(|| session.layer());
-            session.set_layer(qm, layer).map_err(storage_error)?;
-            session.navigate(rect);
-            let response = match predicate {
-                // A predicate window bypasses the session's display
-                // filters (the request states its own filter) but still
-                // anchors the delta path on the session's last window.
-                Some(p) => {
-                    let anchor = session.anchor();
-                    drop(session);
-                    qm.window_query_filtered(layer, &rect, anchor.as_ref(), p, FilterMode::Auto)
-                        .map_err(storage_error)?
-                }
-                None => session.view(qm).map_err(storage_error)?,
-            };
-            Ok(ApiOutcome::Window(WindowOutcome {
-                dataset: name.to_string(),
-                layer,
-                response,
-                session: Some(sid),
-            }))
-        }
-        None => {
-            let layer = layer.unwrap_or(0);
-            let response = match predicate {
-                Some(p) => qm
-                    .window_query_filtered(layer, &rect, None, p, FilterMode::Auto)
-                    .map_err(storage_error)?,
-                None => qm.window_query(layer, &rect).map_err(storage_error)?,
-            };
-            Ok(ApiOutcome::Window(WindowOutcome {
-                dataset: name.to_string(),
-                layer,
-                response,
-                session: None,
-            }))
-        }
+}
+
+/// Resolve a `Window` request to its target and plan — the one front end
+/// of the buffered path ([`call_dataset`] drains the plan) and the
+/// streamed one ([`stream_dataset`] emits it). A session request holds
+/// the per-session lock only to navigate (layer, window, anchor): one
+/// client's requests are ordered, different clients run concurrently,
+/// and a slow reader never pins its session. The exception is a session
+/// with display filters and no request predicate, whose bespoke payload
+/// [`crate::Session::view`] builds under the lock and returns built.
+fn plan_window<'q>(
+    qm: &'q QueryManager,
+    request: &ApiRequest,
+) -> ApiResult<(WindowTarget, StreamPlan<'q>)> {
+    let ApiRequest::Window {
+        layer,
+        window,
+        session,
+        predicate,
+        rid_range,
+        ..
+    } = request
+    else {
+        unreachable!("plan_window resolves window requests only")
+    };
+    let mut spec = WindowSpec::new(layer.unwrap_or(0), to_rect(window)?);
+    spec.predicate = predicate.as_ref();
+    spec.rid_range = *rid_range;
+    if rid_range.is_some() {
+        check_range_combines(*session, spec.predicate)?;
     }
+    let mut target = WindowTarget {
+        layer: spec.layer,
+        session: *session,
+    };
+    if let Some(sid) = *session {
+        let handle = qm.sessions().get(sid).ok_or_else(|| unknown_session(sid))?;
+        let mut session = handle.lock();
+        // A request that omits `layer` stays on the session's current
+        // layer (keeping its delta anchor) instead of snapping to 0.
+        spec.layer = layer.unwrap_or_else(|| session.layer());
+        target.layer = spec.layer;
+        session.set_layer(qm, spec.layer).map_err(storage_error)?;
+        session.navigate(spec.rect);
+        if spec.predicate.is_none() && session.has_filters() {
+            let response = session.view(qm).map_err(storage_error)?;
+            return Ok((target, StreamPlan::Built(response)));
+        }
+        // A request predicate bypasses the display filters (the request
+        // states its own filter) but still anchors on the last window.
+        spec.anchor = session.anchor();
+    }
+    let plan = qm.window_plan(&spec).map_err(storage_error)?;
+    Ok((target, plan))
 }
 
 /// A rid-range restriction composes with neither sessions (delta
@@ -587,50 +580,6 @@ fn check_range_combines(
         ));
     }
     Ok(())
-}
-
-/// The buffered rid-range window: the shard-side half of a routed
-/// window query. Bypasses the window cache (range slices would poison
-/// whole-window entries) and builds a canonical payload over exactly
-/// the rows whose id falls in `[lo, hi]`.
-fn window_range_op(
-    name: &str,
-    qm: &QueryManager,
-    layer: Option<usize>,
-    window: &RectDto,
-    lo: u64,
-    hi: u64,
-) -> ApiResult<ApiOutcome> {
-    let rect = to_rect(window)?;
-    let layer = layer.unwrap_or(0);
-    let t0 = std::time::Instant::now();
-    let (epoch, rows) = qm
-        .window_rows_range(layer, &rect, lo, hi)
-        .map_err(storage_error)?;
-    let db_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t1 = std::time::Instant::now();
-    let json = build_graph_json(&rows);
-    let rows_fetched = rows.len();
-    let client = qm.client_model().deliver(&json);
-    Ok(ApiOutcome::Window(WindowOutcome {
-        dataset: name.to_string(),
-        layer,
-        response: WindowResponse {
-            rows: std::sync::Arc::new(rows),
-            json: std::sync::Arc::new(json),
-            db_ms,
-            build_json_ms: t1.elapsed().as_secs_f64() * 1e3,
-            cache_ms: 0.0,
-            epoch,
-            cache_hit: false,
-            delta: false,
-            rows_reused: 0,
-            rows_fetched,
-            arrival_rids: Vec::new(),
-            client,
-        },
-        session: None,
-    }))
 }
 
 /// The search operation with predicate validation: edge-label operators
@@ -821,88 +770,9 @@ fn stream_dataset(
 ) -> ApiResult<()> {
     let chunk = qm.client_model().chunk_rows.max(1);
     match request {
-        ApiRequest::Window {
-            layer,
-            window,
-            session,
-            packed,
-            predicate,
-            rid_range,
-            ..
-        } => {
-            let packed = *packed;
-            let predicate = predicate.as_ref();
-            let rect = to_rect(window)?;
-            if let Some((lo, hi)) = rid_range {
-                check_range_combines(*session, predicate)?;
-                return stream_window_range(
-                    name,
-                    qm,
-                    layer.unwrap_or(0),
-                    rect,
-                    (*lo, *hi),
-                    chunk,
-                    packed,
-                    sink,
-                );
-            }
-            match session {
-                Some(sid) => {
-                    let handle = qm
-                        .sessions()
-                        .get(*sid)
-                        .ok_or_else(|| unknown_session(*sid))?;
-                    // The per-session lock covers only navigation: the
-                    // stream itself runs with the session released, so a
-                    // slow reader never pins its session entry.
-                    let mut session = handle.lock();
-                    let layer = layer.unwrap_or_else(|| session.layer());
-                    session.set_layer(qm, layer).map_err(storage_error)?;
-                    session.navigate(rect);
-                    if predicate.is_none() && session.has_filters() {
-                        // Filtered views rebuild a bespoke payload (the
-                        // cache entry is unfiltered): compute it whole,
-                        // then slice frames out of it. A request-level
-                        // predicate instead takes the plan path below,
-                        // which pushes it into the fetch.
-                        let response = session.view(qm).map_err(storage_error)?;
-                        drop(session);
-                        let outcome = WindowOutcome {
-                            dataset: name.to_string(),
-                            layer,
-                            response,
-                            session: Some(*sid),
-                        };
-                        return stream_window_outcome(qm, outcome, chunk, packed, sink);
-                    }
-                    let anchor = session.anchor();
-                    drop(session);
-                    stream_window(
-                        name,
-                        qm,
-                        layer,
-                        rect,
-                        anchor,
-                        Some(*sid),
-                        predicate,
-                        chunk,
-                        packed,
-                        sink,
-                    )
-                }
-                None => stream_window(
-                    name,
-                    qm,
-                    layer.unwrap_or(0),
-                    rect,
-                    None,
-                    None,
-                    predicate,
-                    chunk,
-                    packed,
-                    sink,
-                ),
-            }
+        ApiRequest::Window { packed, .. } => {
+            let (target, plan) = plan_window(qm, request)?;
+            emit_window(name, qm, target, plan, *packed, sink)
         }
         ApiRequest::Aggregate {
             layer,
@@ -1001,160 +871,160 @@ fn stream_dataset(
     }
 }
 
-/// Stream one window the v2 way: plan first, then either **slice** an
-/// already-built payload ([`StreamPlan::Built`] — exact hit or delta
-/// splice) or drive the **incremental cold path**
-/// ([`StreamPlan::Cold`]), where each chunk is heap-fetched under a
-/// short re-validated read guard and its frame is handed to the sink
-/// before the next chunk's pages pin. Either way no frame is ever
-/// re-serialized and no lock is held across `sink.emit`.
-#[allow(clippy::too_many_arguments)]
-fn stream_window(
+/// Stream one planned window. A [`StreamPlan::Built`] payload (exact hit,
+/// delta splice or filtered view) is **sliced**: every `Rows` frame is a
+/// contiguous span-index run of the payload (two `memcpy`s — see
+/// [`GraphJson::frame_slices`](crate::GraphJson::frame_slices)), in
+/// payload order; on a delta response each frame's `reused` flag reports
+/// whether its edge range is pure kept region (no arrival in it), so a
+/// panning client repaints kept frames without waiting. A
+/// [`StreamPlan::Cold`] plan runs the **incremental cold path**: each
+/// chunk is heap-fetched under a short re-validated read guard and its
+/// frame is handed to the sink before the next chunk's pages pin. Either
+/// way no frame is re-serialized and no lock is held across
+/// `sink.emit`; the trailer **re-samples the layer epoch**, so an edit
+/// racing the emission shows as a trailer epoch newer than the header's.
+fn emit_window(
     name: &str,
     qm: &QueryManager,
-    layer: usize,
-    window: Rect,
-    anchor: Option<Rect>,
-    session: Option<SessionId>,
-    predicate: Option<&Predicate>,
-    chunk: usize,
+    target: WindowTarget,
+    mut plan: StreamPlan<'_>,
     packed: bool,
     sink: &mut dyn FrameSink,
 ) -> ApiResult<()> {
-    let plan = match predicate {
-        Some(p) => {
-            qm.window_stream_plan_filtered(layer, &window, anchor.as_ref(), p, FilterMode::Auto)
+    let chunk = qm.client_model().chunk_rows.max(1);
+    let (epoch, source) = match &mut plan {
+        StreamPlan::Built(response) => (response.epoch, source_of(response)),
+        StreamPlan::Cold(cold) => {
+            cold.unpin();
+            (cold.epoch(), Source::Cold)
         }
-        None => qm.window_stream_plan(layer, &window, anchor.as_ref()),
     };
-    match plan.map_err(storage_error)? {
-        StreamPlan::Built(response) => {
-            let outcome = WindowOutcome {
-                dataset: name.to_string(),
-                layer,
-                response,
-                session,
-            };
-            stream_window_outcome(qm, outcome, chunk, packed, sink)
-        }
-        StreamPlan::Cold(cold) => stream_cold(name, qm, layer, session, cold, chunk, packed, sink),
-    }
-}
-
-/// Stream a rid-range restricted window: the shard-side half of a
-/// routed window stream. Always the cold incremental path (range
-/// slices never touch the window cache), and always canonical row
-/// order — ascending [`RowId`] — which is what lets a router merge
-/// shard streams by plain concatenation.
-#[allow(clippy::too_many_arguments)]
-fn stream_window_range(
-    name: &str,
-    qm: &QueryManager,
-    layer: usize,
-    window: Rect,
-    range: (u64, u64),
-    chunk: usize,
-    packed: bool,
-    sink: &mut dyn FrameSink,
-) -> ApiResult<()> {
-    let plan = qm
-        .window_stream_plan_range(layer, &window, range.0, range.1)
-        .map_err(storage_error)?;
-    match plan {
-        StreamPlan::Built(response) => {
-            let outcome = WindowOutcome {
-                dataset: name.to_string(),
-                layer,
-                response,
-                session: None,
-            };
-            stream_window_outcome(qm, outcome, chunk, packed, sink)
-        }
-        StreamPlan::Cold(cold) => stream_cold(name, qm, layer, None, cold, chunk, packed, sink),
-    }
-}
-
-/// Drive one [`StreamPlan::Cold`] to completion: chunked heap fetches
-/// under short re-validated read guards, each frame emitted before the
-/// next chunk's pages pin.
-#[allow(clippy::too_many_arguments)]
-fn stream_cold(
-    name: &str,
-    qm: &QueryManager,
-    layer: usize,
-    session: Option<SessionId>,
-    mut cold: Box<crate::query::ColdWindowStream<'_>>,
-    chunk: usize,
-    packed: bool,
-    sink: &mut dyn FrameSink,
-) -> ApiResult<()> {
     sink.emit(&ApiFrame::Header(FrameHeader {
         op: "window".into(),
         dataset: name.to_string(),
-        layer,
-        epoch: cold.epoch(),
-        source: Some(Source::Cold),
-        session,
+        layer: target.layer,
+        epoch,
+        source: Some(source),
+        session: target.session,
     }))?;
-    {
-        // Progress totals use the candidate count: R-tree candidates
-        // are exact, so this is the row count of an unfiltered window
-        // and an upper bound under a predicate.
-        let total = cold.candidate_rows() as u64;
-        let many = cold.candidate_rows() > chunk;
-        let mut frames = 0u64;
-        let mut sent = 0u64;
-        // Cold payloads are canonical by construction (incremental
-        // builder), so the negotiated packed encoding applies to
-        // every frame.
-        let mut enc = PackedEncoder::new();
-        let mut pack_ok = packed;
-        while let Some(frame) = cold.next_chunk(chunk).map_err(storage_error)? {
-            let compact = if pack_ok {
+    let (rows, rows_reused, rows_fetched, frames) = match plan {
+        StreamPlan::Built(resp) => {
+            // Packed frames only for canonical payloads: a spliced delta
+            // keeps surviving nodes in their original positions, an order
+            // the row-driven encoder cannot reproduce — those streams fall
+            // back to plain frames wholesale (the negotiation is "may
+            // pack", not "must").
+            let mut out = RowsEmitter::new(packed && resp.json.canonical, resp.rows.len(), chunk);
+            // Ascending arrival ids against ascending frame ranges: one
+            // monotone pointer classifies every frame.
+            let mut ai = 0usize;
+            for frame in resp.json.frame_slices(&resp.rows, chunk) {
                 let (start, end) = frame.edge_range;
-                let rows = enc.frame(&cold.rows_so_far()[start..end]);
-                if rows.nodes.len() == frame.nodes {
-                    Some(rows)
+                let reused = if resp.cache_hit {
+                    true
+                } else if resp.delta {
+                    let lo = resp.rows[start].0;
+                    let hi = resp.rows[end - 1].0;
+                    while ai < resp.arrival_rids.len() && resp.arrival_rids[ai] < lo {
+                        ai += 1;
+                    }
+                    !(ai < resp.arrival_rids.len() && resp.arrival_rids[ai] <= hi)
                 } else {
-                    debug_assert!(false, "packed derivation diverged from the payload");
-                    pack_ok = false;
-                    None
-                }
-            } else {
-                None
-            };
-            match compact {
-                Some(rows) => sink.emit(&ApiFrame::Rows(RowBatch::Packed {
-                    rows,
-                    reused: false,
-                }))?,
-                None => sink.emit(&ApiFrame::Rows(RowBatch::Graph {
+                    false
+                };
+                out.emit(sink, frame, &resp.rows[start..end], reused)?;
+            }
+            (
+                resp.rows.len(),
+                resp.rows_reused,
+                resp.rows_fetched,
+                out.frames,
+            )
+        }
+        StreamPlan::Cold(mut cold) => {
+            // Cold payloads are canonical by construction (incremental
+            // builder), so the negotiated packed encoding applies to every
+            // frame. Progress totals use the candidate count: the row
+            // count of an unfiltered window, an upper bound under a
+            // predicate.
+            let mut out = RowsEmitter::new(packed, cold.candidate_rows(), chunk);
+            while let Some(frame) = cold.next_chunk(chunk).map_err(storage_error)? {
+                let (start, end) = frame.edge_range;
+                out.emit(sink, frame, &cold.rows_so_far()[start..end], false)?;
+            }
+            let summary = cold.finish();
+            (summary.rows, 0, summary.rows_fetched, out.frames)
+        }
+    };
+    sink.emit(&ApiFrame::Trailer(TrailerFrame {
+        epoch: qm.layer_epoch(target.layer),
+        source: Some(source),
+        rows: rows as u64,
+        rows_reused: rows_reused as u64,
+        rows_fetched: rows_fetched as u64,
+        frames,
+    }))
+}
+
+/// The `Rows` frame loop shared by every window stream: packed-or-plain
+/// encoding, the frame count, and a progress frame after each batch of a
+/// multi-frame stream.
+struct RowsEmitter {
+    /// `None` once packing is off: not negotiated, or the derivation
+    /// diverged from the payload.
+    enc: Option<PackedEncoder>,
+    many: bool,
+    total: u64,
+    sent: u64,
+    frames: u64,
+}
+
+impl RowsEmitter {
+    fn new(packed: bool, total: usize, chunk: usize) -> Self {
+        RowsEmitter {
+            enc: packed.then(PackedEncoder::new),
+            many: total > chunk,
+            total: total as u64,
+            sent: 0,
+            frames: 0,
+        }
+    }
+
+    /// Emit one frame over `rows`, the row slice its payload covers.
+    fn emit(
+        &mut self,
+        sink: &mut dyn FrameSink,
+        frame: GraphFrame,
+        rows: &[(RowId, EdgeRow)],
+        reused: bool,
+    ) -> ApiResult<()> {
+        let batch = match self.enc.as_mut().map(|enc| enc.frame(rows)) {
+            Some(rows) if rows.nodes.len() == frame.nodes => RowBatch::Packed { rows, reused },
+            derived => {
+                debug_assert!(
+                    derived.is_none(),
+                    "packed derivation diverged from the payload"
+                );
+                self.enc = None;
+                RowBatch::Graph {
                     graph: frame.graph,
                     nodes: frame.nodes as u64,
                     edges: frame.edges as u64,
-                    reused: false,
-                }))?,
+                    reused,
+                }
             }
-            frames += 1;
-            sent += frame.edges as u64;
-            if many {
-                sink.emit(&ApiFrame::Progress(ProgressFrame {
-                    rows_sent: sent,
-                    rows_total: total,
-                }))?;
-            }
+        };
+        sink.emit(&ApiFrame::Rows(batch))?;
+        self.frames += 1;
+        self.sent += frame.edges as u64;
+        if self.many {
+            sink.emit(&ApiFrame::Progress(ProgressFrame {
+                rows_sent: self.sent,
+                rows_total: self.total,
+            }))?;
         }
-        let summary = cold.finish();
-        sink.emit(&ApiFrame::Trailer(TrailerFrame {
-            // Re-sampled: newer than the header epoch iff an edit
-            // raced the stream.
-            epoch: qm.layer_epoch(layer),
-            source: Some(Source::Cold),
-            rows: summary.rows as u64,
-            rows_reused: 0,
-            rows_fetched: summary.rows_fetched as u64,
-            frames,
-        }))
+        Ok(())
     }
 }
 
@@ -1215,94 +1085,15 @@ impl PackedEncoder {
     }
 }
 
-/// Stream one computed [`WindowOutcome`] by **slicing its payload**:
-/// every `Rows` frame is a contiguous span-index run of
-/// `response.json` (two `memcpy`s — see [`GraphJson::frame_slices`]),
-/// so nothing is re-serialized. Frames follow payload order (ascending
-/// edge id); on a delta response each frame's `reused` flag reports
-/// whether its edge range is pure kept region (no arrival in it), so a
-/// panning client still repaints kept frames without waiting. The
-/// trailer **re-samples the layer epoch** — the query's read guard was
-/// released when the plan returned, so an edit racing the emission is
-/// surfaced as a trailer epoch newer than the header's.
-fn stream_window_outcome(
-    qm: &QueryManager,
-    outcome: WindowOutcome,
-    chunk: usize,
-    packed: bool,
-    sink: &mut dyn FrameSink,
-) -> ApiResult<()> {
-    let meta = outcome.meta();
-    sink.emit(&ApiFrame::Header(window_header(&meta)))?;
-
-    let resp = &outcome.response;
-    let total = resp.rows.len() as u64;
-    let many = resp.rows.len() > chunk;
-    let mut frames = 0u64;
-    let mut sent = 0u64;
-    // Packed frames only for canonical payloads: a spliced delta keeps
-    // surviving nodes in their original positions, an order the
-    // row-driven encoder cannot reproduce — those streams fall back to
-    // plain frames wholesale (the negotiation is "may pack", not "must").
-    let mut enc = PackedEncoder::new();
-    let mut pack_ok = packed && resp.json.canonical;
-    // Ascending arrival ids against ascending frame ranges: one
-    // monotone pointer classifies every frame.
-    let mut ai = 0usize;
-    for frame in resp.json.frame_slices(&resp.rows, chunk) {
-        let (start, end) = frame.edge_range;
-        let reused = if resp.cache_hit {
-            true
-        } else if resp.delta {
-            let lo = resp.rows[start].0;
-            let hi = resp.rows[end - 1].0;
-            while ai < resp.arrival_rids.len() && resp.arrival_rids[ai] < lo {
-                ai += 1;
-            }
-            !(ai < resp.arrival_rids.len() && resp.arrival_rids[ai] <= hi)
-        } else {
-            false
-        };
-        let compact = if pack_ok {
-            let rows = enc.frame(&resp.rows[start..end]);
-            if rows.nodes.len() == frame.nodes {
-                Some(rows)
-            } else {
-                debug_assert!(false, "packed derivation diverged from the payload");
-                pack_ok = false;
-                None
-            }
-        } else {
-            None
-        };
-        match compact {
-            Some(rows) => sink.emit(&ApiFrame::Rows(RowBatch::Packed { rows, reused }))?,
-            None => sink.emit(&ApiFrame::Rows(RowBatch::Graph {
-                graph: frame.graph,
-                nodes: frame.nodes as u64,
-                edges: frame.edges as u64,
-                reused,
-            }))?,
-        }
-        frames += 1;
-        sent += frame.edges as u64;
-        if many {
-            sink.emit(&ApiFrame::Progress(ProgressFrame {
-                rows_sent: sent,
-                rows_total: total,
-            }))?;
-        }
+/// How a window response was produced, as the wire enum.
+fn source_of(response: &WindowResponse) -> Source {
+    if response.cache_hit {
+        Source::Hit
+    } else if response.delta {
+        Source::Delta
+    } else {
+        Source::Cold
     }
-    sink.emit(&ApiFrame::Trailer(TrailerFrame {
-        // Re-sampled: newer than the header epoch iff an edit raced the
-        // stream.
-        epoch: qm.layer_epoch(meta.layer),
-        source: Some(meta.source),
-        rows: total,
-        rows_reused: meta.rows_reused as u64,
-        rows_fetched: meta.rows_fetched as u64,
-        frames,
-    }))
 }
 
 /// Per-layer inventory of one manager. `rid_max` is computed under the
@@ -1536,6 +1327,73 @@ mod tests {
         };
         assert_eq!(meta.source, Source::Hit);
         assert_eq!(graph, &first.response.json.text);
+
+        // Rid-range slices of the same window (the router's fan-out
+        // primitive): buffered == reassembled streamed == the cold window
+        // restricted to [lo, hi], adjacent ranges concatenate to the whole
+        // window, and the cache neither serves nor stores a slice.
+        let range_req = |lo: u64, hi: u64| {
+            let mut req = window_req(None);
+            if let ApiRequest::Window { rid_range, .. } = &mut req {
+                *rid_range = Some((lo, hi));
+            }
+            req
+        };
+        let whole = &first.response.rows;
+        let mid = whole[whole.len() / 2].0.to_u64();
+        let cache_before = qm.cache_stats();
+        let mut concatenated = Vec::new();
+        for (lo, hi) in [(0, mid), (mid + 1, u64::MAX)] {
+            let expected: Vec<(RowId, EdgeRow)> = whole
+                .iter()
+                .filter(|(rid, _)| (lo..=hi).contains(&rid.to_u64()))
+                .cloned()
+                .collect();
+            assert!(!expected.is_empty());
+            let ApiOutcome::Window(buffered) = svc.call(&range_req(lo, hi)).unwrap() else {
+                panic!("wrong outcome")
+            };
+            assert_eq!(buffered.source(), Source::Cold);
+            assert_eq!(*buffered.response.rows, expected);
+            assert_eq!(
+                buffered.response.json.text,
+                build_graph_json(&expected).text
+            );
+            let mut sink = crate::FrameBuffer::new();
+            svc.call_streamed(&range_req(lo, hi), &mut sink).unwrap();
+            let (fragments, _) = decode_rows_frames(&sink);
+            let streamed =
+                gvdb_api::reassemble_graph(fragments.iter().map(String::as_str)).unwrap();
+            assert_eq!(streamed, buffered.response.json.text);
+            concatenated.extend(expected);
+        }
+        assert_eq!(&concatenated, &**whole);
+        let cache_after = qm.cache_stats();
+        assert_eq!(cache_after.hits, cache_before.hits);
+        assert_eq!(cache_after.entries, cache_before.entries);
+        // The whole window's entry survives the slices untouched.
+        let ApiOutcome::Window(again) = svc.call(&window_req(None)).unwrap() else {
+            panic!("wrong outcome")
+        };
+        assert_eq!(again.source(), Source::Hit);
+        assert_eq!(again.response.rows, first.response.rows);
+
+        // A rid range combines with neither a session nor a predicate.
+        let mut with_session = range_req(0, mid);
+        let mut with_predicate = range_req(0, mid);
+        if let ApiRequest::Window { session, .. } = &mut with_session {
+            *session = Some(1);
+        }
+        if let ApiRequest::Window { predicate, .. } = &mut with_predicate {
+            *predicate = Some(Predicate::NodeLabelEq("Q1".into()));
+        }
+        for req in [with_session, with_predicate] {
+            assert_eq!(svc.call(&req).unwrap_err().kind, ErrorKind::BadRequest);
+            let mut sink = crate::FrameBuffer::new();
+            let err = svc.call_streamed(&req, &mut sink).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::BadRequest);
+            assert!(sink.frames.is_empty(), "rejected before the header");
+        }
         std::fs::remove_file(&path).ok();
     }
 

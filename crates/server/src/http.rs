@@ -67,15 +67,13 @@ impl Request {
     }
 }
 
-/// Response body: built for this request, the cached window payload
-/// shared by `Arc`, or a typed **envelope** around that shared payload —
-/// head and tail are built per request, the graph text is written
-/// straight from the cache entry with no copy.
+/// Response body: built for this request, or a typed **envelope** around
+/// the cached window payload shared by `Arc` — head and tail are built
+/// per request, the graph text is written straight from the cache entry
+/// with no copy.
 pub enum Body {
     /// A string built for this response.
     Owned(String),
-    /// The window cache's payload, shared by reference count.
-    Shared(Arc<GraphJson>),
     /// `head` + the shared payload text + `tail` (the `/v1/window`
     /// envelope).
     Enveloped {
@@ -93,7 +91,6 @@ impl Body {
     pub fn len(&self) -> usize {
         match self {
             Body::Owned(s) => s.len(),
-            Body::Shared(json) => json.text.len(),
             Body::Enveloped { head, graph, tail } => head.len() + graph.text.len() + tail.len(),
         }
     }
@@ -108,7 +105,6 @@ impl Body {
     pub fn text(&self) -> std::borrow::Cow<'_, str> {
         match self {
             Body::Owned(s) => s.as_str().into(),
-            Body::Shared(json) => json.text.as_str().into(),
             Body::Enveloped { head, graph, tail } => format!("{head}{}{tail}", graph.text).into(),
         }
     }
@@ -147,7 +143,8 @@ impl Response {
         }
     }
 
-    /// A legacy-dialect error response carrying `{"error": "…"}`.
+    /// A plain error response carrying `{"error": "…"}` (the reactor's
+    /// own `400`/`413`/`503` answers, sent before any request is routed).
     pub fn error(status: &'static str, message: &str) -> Self {
         let mut body = String::from("{\"error\":\"");
         gvdb_core::json::escape_into(message, &mut body);
@@ -182,7 +179,6 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
     out.extend_from_slice(head.as_bytes());
     match &response.body {
         Body::Owned(s) => out.extend_from_slice(s.as_bytes()),
-        Body::Shared(json) => out.extend_from_slice(json.text.as_bytes()),
         Body::Enveloped { head, graph, tail } => {
             out.extend_from_slice(head.as_bytes());
             out.extend_from_slice(graph.text.as_bytes());
@@ -239,7 +235,6 @@ mod tests {
     fn body_variants_expose_text_and_length() {
         assert_eq!(Body::from("x".to_string()).text(), "x");
         let json = Arc::new(gvdb_core::build_graph_json(&[]));
-        assert_eq!(Body::Shared(json.clone()).text(), json.text.as_str());
         let enveloped = Body::Enveloped {
             head: "{\"graph\":".into(),
             graph: json.clone(),

@@ -77,12 +77,7 @@
 //!
 //! Mutation responses carry the mutated layer's **new epoch**, so a
 //! client can tell when subsequent window responses include its write.
-//!
-//! The pre-`v1` query-string routes (`/layers`, `/window`, `/search`,
-//! `/focus`, `/session/*`, `/cache`, `/stats`) survive as **deprecated
-//! shims**: they parse into the same `ApiRequest`s, execute through the
-//! same service, and re-emit the legacy wire shapes with an
-//! `X-Gvdb-Deprecated` header pointing at their `/v1` replacement.
+//! Paths outside `/v1` get the typed `404`.
 
 mod http;
 pub mod parser;
@@ -435,7 +430,7 @@ fn execute_job(job: Job, state: &AppState) {
 /// typed request. Only `GET /v1/window`, `GET /v1/search` and
 /// `GET /v1/aggregate` stream;
 /// `stream=0` or an `Accept: application/json` header keeps the buffered
-/// envelope for legacy clients, and a malformed request falls through to
+/// envelope, and a malformed request falls through to
 /// the buffered route (which produces the proper `400`).
 fn streamable_request(request: &Request) -> Option<ApiRequest> {
     if request.method != "GET" || !wants_stream(request) {
@@ -640,12 +635,15 @@ fn serve_streamed(api_request: &ApiRequest, state: &AppState, conn: &ConnHandle,
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Dispatch one parsed request: `/v1/*` speaks the typed protocol, other
-/// paths fall through to the deprecated legacy shims.
+/// Dispatch one parsed request: `/v1/*` speaks the typed protocol, and
+/// every other path is a typed `404`.
 fn route(request: &Request, state: &AppState) -> Response {
     match request.path.strip_prefix("/v1") {
         Some(rest) => route_v1(rest, request, state),
-        None => route_legacy(request, state),
+        None => v1_error(ApiError::not_found(format!(
+            "no endpoint {} {} (the API lives under /v1)",
+            request.method, request.path
+        ))),
     }
 }
 
@@ -943,244 +941,4 @@ fn server_stats(state: &AppState, datasets: Vec<DatasetStats>) -> StatsDto {
         datasets,
         replication: state.repl.as_ref().map(|p| p.stats()),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy shims (deprecated — kept for pre-v1 clients)
-// ---------------------------------------------------------------------------
-
-/// Header advertising the replacement route on every legacy response.
-fn deprecation_header(replacement: &str) -> String {
-    format!("X-Gvdb-Deprecated: use {replacement}\r\n")
-}
-
-/// A legacy-dialect error (`{"error":"…"}`) from a typed one.
-fn legacy_error(e: &ApiError) -> Response {
-    Response::error(e.kind.http_status(), &e.message)
-}
-
-fn route_legacy(request: &Request, state: &AppState) -> Response {
-    let dataset = request.param("dataset").map(str::to_string);
-    let service = &state.service;
-    match request.path.as_str() {
-        "/healthz" => Response::ok("{\"ok\":true}"),
-        "/layers" => match service.call(&ApiRequest::ListLayers { dataset }) {
-            Ok(ApiOutcome::Layers { layers, .. }) => {
-                let mut out = String::from("{\"layers\":[");
-                for (i, l) in layers.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"index\":{},\"rows\":{},\"epoch\":{}}}",
-                        l.index, l.rows, l.epoch
-                    ));
-                }
-                out.push_str("]}");
-                legacy_ok(out, "/v1/layers")
-            }
-            Ok(_) => unreachable!("layers request yields a layers outcome"),
-            Err(e) => legacy_error(&e),
-        },
-        // Legacy contract: a missing OR unordered window falls back to
-        // the default viewport (the v1 route reports unordered as 400).
-        "/session/new" => match service.call(&ApiRequest::SessionNew {
-            dataset,
-            window: parse_window(request).filter(RectDto::is_ordered),
-        }) {
-            Ok(ApiOutcome::Session { id }) => {
-                legacy_ok(format!("{{\"session\":{id}}}"), "/v1/session/new")
-            }
-            Ok(_) => unreachable!("session_new yields a session outcome"),
-            Err(e) => legacy_error(&e),
-        },
-        "/session/close" => match request.parse::<SessionId>("session") {
-            Some(session) => match service.call(&ApiRequest::SessionClose { dataset, session }) {
-                Ok(_) => legacy_ok("{\"closed\":true}".to_string(), "/v1/session/close"),
-                Err(e) => legacy_error(&e),
-            },
-            None => Response::error("400 Bad Request", "need session"),
-        },
-        "/window" => {
-            let Some(window) = parse_window(request) else {
-                return Response::error("400 Bad Request", "need minx,miny,maxx,maxy");
-            };
-            let api_request = ApiRequest::Window {
-                dataset,
-                layer: request.parse("layer"),
-                window,
-                session: request.parse("session"),
-                packed: false,
-                predicate: None,
-                rid_range: None,
-            };
-            match service.call(&api_request) {
-                Ok(ApiOutcome::Window(outcome)) => {
-                    let mut extra_headers = window_headers(&outcome);
-                    extra_headers.push_str(&deprecation_header("/v1/window"));
-                    Response {
-                        status: "200 OK",
-                        extra_headers,
-                        body: Body::Shared(outcome.response.json),
-                    }
-                }
-                Ok(_) => unreachable!("window request yields a window outcome"),
-                Err(e) => legacy_error(&e),
-            }
-        }
-        "/search" => match request.param("q") {
-            Some(q) => match service.call(&ApiRequest::Search {
-                dataset,
-                layer: request.parse("layer").unwrap_or(0),
-                query: q.replace('+', " "),
-                predicate: None,
-            }) {
-                Ok(ApiOutcome::Hits { hits, .. }) => {
-                    let mut out = String::from("{\"hits\":[");
-                    for (i, h) in hits.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&format!(
-                            "{{\"node\":{},\"x\":{:.2},\"y\":{:.2},\"label\":\"",
-                            h.node_id, h.position.x, h.position.y
-                        ));
-                        gvdb_core::json::escape_into(&h.label, &mut out);
-                        out.push_str("\"}");
-                    }
-                    out.push_str("]}");
-                    legacy_ok(out, "/v1/search")
-                }
-                Ok(_) => unreachable!("search yields a hits outcome"),
-                Err(e) => legacy_error(&e),
-            },
-            None => Response::error("400 Bad Request", "need q"),
-        },
-        "/focus" => match request.parse::<u64>("node") {
-            Some(node) => match service.call(&ApiRequest::Focus {
-                dataset,
-                layer: request.parse("layer").unwrap_or(0),
-                node,
-            }) {
-                Ok(ApiOutcome::Focus { json, .. }) => legacy_ok(json.text, "/v1/focus"),
-                Ok(_) => unreachable!("focus yields a focus outcome"),
-                Err(e) => legacy_error(&e),
-            },
-            None => Response::error("400 Bad Request", "need node"),
-        },
-        "/cache" => match legacy_dataset_stats(state, dataset.as_deref()) {
-            Ok(ds) => {
-                let cache_total = ds.cache.hits + ds.cache.misses;
-                let cache_rate = ds.cache.hits as f64 / (cache_total.max(1)) as f64;
-                let pool_total = ds.pool.hits + ds.pool.misses;
-                let pool_rate = ds.pool.hits as f64 / (pool_total.max(1)) as f64;
-                legacy_ok(
-                    format!(
-                        "{{\"hits\":{},\"partial_hits\":{},\"misses\":{},\"entries\":{},\"bytes\":{},\"hit_rate\":{:.3},\"pool\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.3}}}}}",
-                        ds.cache.hits,
-                        ds.cache.partial_hits,
-                        ds.cache.misses,
-                        ds.cache.entries,
-                        ds.cache.bytes,
-                        cache_rate,
-                        ds.pool.hits,
-                        ds.pool.misses,
-                        pool_rate
-                    ),
-                    "/v1/stats",
-                )
-            }
-            Err(e) => legacy_error(&e),
-        },
-        "/stats" => match legacy_dataset_stats(state, dataset.as_deref()) {
-            Ok(ds) => legacy_ok(legacy_stats_json(state, &ds), "/v1/stats"),
-            Err(e) => legacy_error(&e),
-        },
-        _ => Response::error("404 Not Found", "unknown endpoint"),
-    }
-}
-
-fn legacy_ok(body: String, replacement: &str) -> Response {
-    Response {
-        status: "200 OK",
-        extra_headers: deprecation_header(replacement),
-        body: body.into(),
-    }
-}
-
-/// Resolve the dataset a legacy stats route addresses: the explicit
-/// `dataset=` value, or the only dataset when there is exactly one.
-fn legacy_dataset_stats(state: &AppState, dataset: Option<&str>) -> Result<DatasetStats, ApiError> {
-    let Ok(ApiOutcome::Stats(mut datasets)) = state.service.call(&ApiRequest::Stats) else {
-        return Err(ApiError::internal("stats unavailable"));
-    };
-    match dataset {
-        Some(name) => datasets
-            .iter()
-            .position(|d| d.name == name)
-            .map(|i| datasets.swap_remove(i))
-            .ok_or_else(|| {
-                ApiError::not_found(format!(
-                    "dataset '{name}' not found (available: {})",
-                    state.service.dataset_names().join(", ")
-                ))
-            }),
-        None if datasets.len() == 1 => Ok(datasets.pop().expect("len checked")),
-        None => Err(ApiError::bad_request(format!(
-            "this workspace serves {} datasets; pass dataset=<name> or use /v1/stats",
-            datasets.len()
-        ))),
-    }
-}
-
-/// The legacy `/stats` payload: serving counters, the dataset's per-layer
-/// epochs, and the per-shard breakdowns of pool and cache.
-fn legacy_stats_json(state: &AppState, ds: &DatasetStats) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!(
-        "\"served\":{},\"rejected\":{},\"workers\":{},\"backlog\":{},\"sessions\":{},",
-        state.served.load(Ordering::Relaxed),
-        state.rejected.load(Ordering::Relaxed),
-        state.workers,
-        state.backlog,
-        ds.sessions.live
-    ));
-    out.push_str("\"epochs\":[");
-    for (i, epoch) in ds.epochs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&epoch.to_string());
-    }
-    out.push_str("],");
-    let pool_total = ds.pool.hits + ds.pool.misses;
-    out.push_str(&format!(
-        "\"pool\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"hit_rate\":{:.3},\"shards\":[",
-        ds.pool.hits,
-        ds.pool.misses,
-        ds.pool.evictions,
-        ds.pool.hits as f64 / (pool_total.max(1)) as f64
-    ));
-    // Legacy wire shape: counters only (the byte gauges are v1-only).
-    for (i, (hits, misses, evictions, _, _)) in ds.pool.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions}}}"
-        ));
-    }
-    out.push_str("]},");
-    out.push_str(&format!(
-        "\"cache\":{{\"hits\":{},\"partial_hits\":{},\"misses\":{},\"entries\":{},\"bytes\":{},\"shards\":[",
-        ds.cache.hits, ds.cache.partial_hits, ds.cache.misses, ds.cache.entries, ds.cache.bytes
-    ));
-    for (i, (entries, bytes)) in ds.cache.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"entries\":{entries},\"bytes\":{bytes}}}"));
-    }
-    out.push_str("]}}");
-    out
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the serving layer: a real listener, real TCP
 //! clients, the shared query manager underneath.
 
+use gvdb_api::{ApiResponse, ErrorKind};
 use gvdb_core::{preprocess, PreprocessConfig, QueryManager};
 use gvdb_graph::generators::{wikidata_like, RdfConfig};
 use gvdb_server::{Server, ServerConfig};
@@ -50,50 +51,87 @@ fn header_value<'a>(headers: &'a str, name: &str) -> Option<&'a str> {
         .map(|v| v.trim_start_matches(':').trim())
 }
 
+/// The graph payload of a buffered `/v1/window` body.
+fn window_graph(body: &str) -> String {
+    match ApiResponse::from_json(body).expect("window response") {
+        ApiResponse::Window { graph, .. } => graph,
+        other => panic!("expected a window response, got {}", other.kind()),
+    }
+}
+
+/// The session id of a `/v1/session/new` body.
+fn session_id(body: &str) -> u64 {
+    match ApiResponse::from_json(body).expect("session response") {
+        ApiResponse::Session { id } => id,
+        other => panic!("expected a session response, got {}", other.kind()),
+    }
+}
+
 #[test]
 fn serves_layers_window_search_and_stats() {
     let (qm, path) = manager("basic");
     let server = Server::start(qm, ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    let (_, layers) = http_get(addr, "/layers");
-    assert!(layers.starts_with("{\"layers\":["), "got {layers}");
+    let (_, layers) = http_get(addr, "/v1/layers");
+    let ApiResponse::Layers { layers, .. } = ApiResponse::from_json(&layers).unwrap() else {
+        panic!("not a layers response: {layers}");
+    };
+    assert!(!layers.is_empty());
 
-    let w = "/window?layer=0&minx=0&miny=0&maxx=1500&maxy=1500";
+    let w = "/v1/window?layer=0&minx=0&miny=0&maxx=1500&maxy=1500&stream=0";
     let (h1, b1) = http_get(addr, w);
     assert!(h1.contains("200 OK"));
-    assert!(header_value(&h1, "X-Gvdb-Source").unwrap().contains("cold"));
-    assert!(b1.contains("\"nodes\""));
+    assert_eq!(header_value(&h1, "X-Gvdb-Source"), Some("cold"));
+    assert!(window_graph(&b1).contains("\"nodes\""));
     // The exact repeat is a cache hit with an identical payload.
     let (h2, b2) = http_get(addr, w);
-    assert!(header_value(&h2, "X-Gvdb-Source").unwrap().contains("hit"));
-    assert_eq!(b1, b2);
+    assert_eq!(header_value(&h2, "X-Gvdb-Source"), Some("hit"));
+    assert_eq!(window_graph(&b1), window_graph(&b2));
 
-    let (_, search) = http_get(addr, "/search?layer=0&q=Q1");
-    assert!(search.starts_with("{\"hits\":["));
+    let (_, search) = http_get(addr, "/v1/search?layer=0&q=Q1&stream=0");
+    let ApiResponse::Hits { hits } = ApiResponse::from_json(&search).unwrap() else {
+        panic!("not a hits response: {search}");
+    };
+    assert!(!hits.is_empty());
 
-    let (h, _) = http_get(addr, "/window?layer=0&minx=5&miny=0&maxx=1&maxy=1");
+    let (h, _) = http_get(
+        addr,
+        "/v1/window?layer=0&minx=5&miny=0&maxx=1&maxy=1&stream=0",
+    );
     assert!(h.contains("400 Bad Request"), "inverted window rejected");
 
-    let (h, _) = http_get(addr, "/window?layer=99&minx=0&miny=0&maxx=1&maxy=1");
+    let (h, _) = http_get(
+        addr,
+        "/v1/window?layer=99&minx=0&miny=0&maxx=1&maxy=1&stream=0",
+    );
     assert!(h.contains("404 Not Found"), "missing layer is 404");
 
-    let (_, stats) = http_get(addr, "/stats");
-    for key in [
-        "\"served\":",
-        "\"rejected\":",
-        "\"epochs\":[",
-        "\"pool\":",
-        "\"cache\":",
-        "\"shards\":[",
-    ] {
-        assert!(stats.contains(key), "stats missing {key}: {stats}");
-    }
+    // Paths outside /v1 are a typed 404.
+    let (h, body) = http_get(addr, "/window?layer=0&minx=0&miny=0&maxx=1500&maxy=1500");
+    assert!(
+        h.contains("404 Not Found"),
+        "unversioned route is gone: {h}"
+    );
+    let ApiResponse::Error(e) = ApiResponse::from_json(&body).unwrap() else {
+        panic!("not a typed error: {body}");
+    };
+    assert_eq!(e.kind, ErrorKind::NotFound);
 
-    let (_, health) = http_get(addr, "/healthz");
+    let (_, stats) = http_get(addr, "/v1/stats");
+    let ApiResponse::Stats(stats) = ApiResponse::from_json(&stats).unwrap() else {
+        panic!("not a stats response: {stats}");
+    };
+    assert_eq!(stats.datasets.len(), 1);
+    let ds = &stats.datasets[0];
+    assert_eq!(ds.epochs.len(), layers.len());
+    assert!(ds.cache.hits >= 1);
+    assert!(!ds.cache.shards.is_empty() && !ds.pool.shards.is_empty());
+
+    let (_, health) = http_get(addr, "/v1/healthz");
     assert_eq!(health, "{\"ok\":true}");
 
-    assert!(server.served() >= 6);
+    assert!(server.served() >= 8);
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
@@ -104,38 +142,36 @@ fn session_pans_ride_the_delta_path_over_http() {
     let server = Server::start(qm, ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    let (_, body) = http_get(addr, "/session/new");
-    let sid: u64 = body
-        .trim_start_matches("{\"session\":")
-        .trim_end_matches('}')
-        .parse()
-        .expect("session id");
+    let (_, body) = http_get(addr, "/v1/session/new");
+    let sid = session_id(&body);
     assert_eq!(server.session_count(), 1);
 
     let (h1, _) = http_get(
         addr,
-        &format!("/window?layer=0&session={sid}&minx=0&miny=0&maxx=2000&maxy=2000"),
+        &format!("/v1/window?layer=0&session={sid}&minx=0&miny=0&maxx=2000&maxy=2000&stream=0"),
     );
-    assert!(header_value(&h1, "X-Gvdb-Source").unwrap().contains("cold"));
+    assert_eq!(header_value(&h1, "X-Gvdb-Source"), Some("cold"));
 
     // An 85%-overlap pan through the same session must be incremental —
     // the registry anchored the previous viewport.
     let (h2, _) = http_get(
         addr,
-        &format!("/window?layer=0&session={sid}&minx=300&miny=0&maxx=2300&maxy=2000"),
+        &format!("/v1/window?layer=0&session={sid}&minx=300&miny=0&maxx=2300&maxy=2000&stream=0"),
     );
-    assert!(
-        header_value(&h2, "X-Gvdb-Source")
-            .unwrap()
-            .contains("delta"),
+    assert_eq!(
+        header_value(&h2, "X-Gvdb-Source"),
+        Some("delta"),
         "session pan must be served by the delta path: {h2}"
     );
-    assert!(header_value(&h2, "X-Gvdb-Session").is_some());
+    assert_eq!(
+        header_value(&h2, "X-Gvdb-Session"),
+        Some(sid.to_string().as_str())
+    );
 
     // An unknown session is a 404, not a silent cold query.
     let (h, _) = http_get(
         addr,
-        "/window?layer=0&session=999999&minx=0&miny=0&maxx=10&maxy=10",
+        "/v1/window?layer=0&session=999999&minx=0&miny=0&maxx=10&maxy=10&stream=0",
     );
     assert!(h.contains("404 Not Found"));
 
@@ -145,34 +181,35 @@ fn session_pans_ride_the_delta_path_over_http() {
     // not a cold snap back to layer 0.
     http_get(
         addr,
-        &format!("/window?layer=1&session={sid}&minx=0&miny=0&maxx=2000&maxy=2000"),
+        &format!("/v1/window?layer=1&session={sid}&minx=0&miny=0&maxx=2000&maxy=2000&stream=0"),
     );
     let (h, _) = http_get(
         addr,
-        &format!("/window?session={sid}&minx=0&miny=0&maxx=2000&maxy=2000"),
+        &format!("/v1/window?session={sid}&minx=0&miny=0&maxx=2000&maxy=2000&stream=0"),
     );
-    assert!(
-        header_value(&h, "X-Gvdb-Source").unwrap().contains("hit"),
+    assert_eq!(
+        header_value(&h, "X-Gvdb-Source"),
+        Some("hit"),
         "layer-less session request must stay on the session's layer: {h}"
     );
 
-    // Legacy contract: an inverted window on /session/new falls back to
-    // the default viewport instead of erroring.
-    let (h, body) = http_get(addr, "/session/new?minx=5&miny=0&maxx=1&maxy=1");
-    assert!(h.contains("200 OK"), "inverted window must fall back: {h}");
-    assert!(body.starts_with("{\"session\":"), "{body}");
-    let fallback_sid: u64 = body
-        .trim_start_matches("{\"session\":")
-        .trim_end_matches('}')
-        .parse()
-        .expect("session id");
-    http_get(addr, &format!("/session/close?session={fallback_sid}"));
+    // An inverted window on /v1/session/new is a 400 like every other
+    // window, and opens no session.
+    let (h, _) = http_get(addr, "/v1/session/new?minx=5&miny=0&maxx=1&maxy=1");
+    assert!(
+        h.contains("400 Bad Request"),
+        "inverted window rejected: {h}"
+    );
+    assert_eq!(server.session_count(), 1);
 
     // Explicit release: the id stops resolving and the registry shrinks.
-    let (_, closed) = http_get(addr, &format!("/session/close?session={sid}"));
-    assert_eq!(closed, "{\"closed\":true}");
+    let (_, closed) = http_get(addr, &format!("/v1/session/close?session={sid}"));
+    assert!(matches!(
+        ApiResponse::from_json(&closed).unwrap(),
+        ApiResponse::Closed
+    ));
     assert_eq!(server.session_count(), 0);
-    let (h, _) = http_get(addr, &format!("/session/close?session={sid}"));
+    let (h, _) = http_get(addr, &format!("/v1/session/close?session={sid}"));
     assert!(h.contains("404 Not Found"), "double close is a 404");
 
     server.shutdown();
@@ -192,8 +229,9 @@ fn concurrent_clients_get_consistent_bodies() {
     .unwrap();
     let addr = server.addr();
 
-    let w = "/window?layer=0&minx=0&miny=0&maxx=2500&maxy=2500";
+    let w = "/v1/window?layer=0&minx=0&miny=0&maxx=2500&maxy=2500&stream=0";
     let (_, expected) = http_get(addr, w);
+    let expected = window_graph(&expected);
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let expected = expected.clone();
@@ -201,7 +239,11 @@ fn concurrent_clients_get_consistent_bodies() {
                 for _ in 0..20 {
                     let (h, b) = http_get(addr, w);
                     assert!(h.contains("200 OK"));
-                    assert_eq!(b, expected, "every client sees identical rows");
+                    assert_eq!(
+                        window_graph(&b),
+                        expected,
+                        "every client sees identical rows"
+                    );
                 }
             })
         })
@@ -221,7 +263,7 @@ fn wait_returns_when_a_shutdown_handle_fires() {
     let addr = server.addr();
     let handle = server.shutdown_handle();
     let waiter = std::thread::spawn(move || server.wait());
-    let (h, _) = http_get(addr, "/healthz");
+    let (h, _) = http_get(addr, "/v1/healthz");
     assert!(h.contains("200 OK"));
     handle.shutdown();
     waiter
@@ -239,7 +281,7 @@ fn shutdown_joins_and_stops_accepting() {
     let (qm, path) = manager("shutdown");
     let server = Server::start(qm, ServerConfig::default()).unwrap();
     let addr = server.addr();
-    let (h, _) = http_get(addr, "/healthz");
+    let (h, _) = http_get(addr, "/v1/healthz");
     assert!(h.contains("200 OK"));
     server.shutdown();
     // The listener is gone: connecting now must fail (or be refused
@@ -247,7 +289,7 @@ fn shutdown_joins_and_stops_accepting() {
     let refused = match TcpStream::connect(addr) {
         Err(_) => true,
         Ok(mut s) => {
-            let _ = write!(s, "GET /healthz HTTP/1.1\r\n\r\n");
+            let _ = write!(s, "GET /v1/healthz HTTP/1.1\r\n\r\n");
             let mut buf = String::new();
             s.read_to_string(&mut buf).ok();
             buf.is_empty()

@@ -59,7 +59,7 @@ fn main() {
     )
     .expect("bind");
     let addr = server.addr();
-    println!("graphvizdb serving 2 datasets on http://{addr} (v1 API + legacy shims)");
+    println!("graphvizdb serving 2 datasets on http://{addr} (v1 API)");
 
     if std::env::args().any(|a| a == "--serve") {
         server.wait();

@@ -295,8 +295,8 @@ fn cmd_focus(args: &[String]) -> Result<(), String> {
 }
 
 /// `gvdb serve`: open one or more preprocessed databases as a shared
-/// workspace and serve them over HTTP (the `/v1` typed API, plus the
-/// deprecated legacy routes) until the process is killed.
+/// workspace and serve them over HTTP (the `/v1` typed API) until the
+/// process is killed.
 ///
 /// * `gvdb serve graph.db` — one dataset, named `default`.
 /// * `gvdb serve acm=acm.gvdb dblp=dblp.gvdb` — several datasets behind
@@ -496,7 +496,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if !read_only.is_empty() {
         println!("read-only dataset(s): {read_only}");
     }
-    println!("legacy routes (/window /search /stats ...) remain as deprecated shims");
     server.wait();
     Ok(())
 }
