@@ -12,7 +12,9 @@
 //!   [`ApiRequest::from_json`], …); the encoding is hand-rolled over
 //!   [`Json`] because the build environment vendors serde as a no-op
 //!   marker crate (the derives below keep the DTOs serde-annotated for
-//!   environments with the real serde).
+//!   environments with the real serde). The streamable requests also
+//!   have a `GET` query-string form ([`ApiRequest::to_query`],
+//!   [`ApiRequest::from_query`]).
 //! * [`ApiError`] — a typed error (`kind` + `message`) replacing stringly
 //!   HTTP errors; [`ErrorKind::http_status`] maps each kind onto a status
 //!   line.
@@ -35,6 +37,7 @@ pub mod frame;
 pub mod json;
 pub mod pack;
 pub mod predicate;
+mod query;
 pub mod repl;
 
 pub use frame::{
@@ -1059,7 +1062,10 @@ impl ApiRequest {
                 session: v.get("session").and_then(Json::as_u64),
                 packed: v.get("encoding").and_then(Json::as_str) == Some("packed"),
                 predicate: parse_filter(&v)?,
-                rid_range: parse_rid_range(&v),
+                rid_range: rid_range(
+                    v.get("rid_lo").and_then(Json::as_u64),
+                    v.get("rid_hi").and_then(Json::as_u64),
+                ),
             },
             "search" => ApiRequest::Search {
                 dataset,
@@ -1115,15 +1121,10 @@ fn parse_filter(v: &Json) -> ApiResult<Option<Predicate>> {
     }
 }
 
-/// The optional `rid_lo`/`rid_hi` members of window requests. Lenient:
+/// The optional `rid_lo`/`rid_hi` bounds of window requests. Lenient:
 /// either bound alone implies the other end of rid space.
-fn parse_rid_range(v: &Json) -> Option<(u64, u64)> {
-    let lo = v.get("rid_lo").and_then(Json::as_u64);
-    let hi = v.get("rid_hi").and_then(Json::as_u64);
-    if lo.is_none() && hi.is_none() {
-        return None;
-    }
-    Some((lo.unwrap_or(0), hi.unwrap_or(u64::MAX)))
+fn rid_range(lo: Option<u64>, hi: Option<u64>) -> Option<(u64, u64)> {
+    (lo.is_some() || hi.is_some()).then(|| (lo.unwrap_or(0), hi.unwrap_or(u64::MAX)))
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,28 @@ fn roundtrip_request(req: ApiRequest) {
     assert_eq!(parsed, req, "wire form: {text}");
     // The wire form is itself stable (canonical writer).
     assert_eq!(parsed.to_json(), text);
+    // The streamable requests also survive their GET query-string form.
+    if matches!(
+        req,
+        ApiRequest::Window { .. } | ApiRequest::Search { .. } | ApiRequest::Aggregate { .. }
+    ) {
+        let query = req.to_query().unwrap_or_else(|e| panic!("{text}: {e}"));
+        let path = format!("/{}", req.op());
+        let parsed = ApiRequest::from_query(&path, &query_params(&query))
+            .unwrap_or_else(|e| panic!("{query}: {e}"));
+        assert_eq!(parsed, req, "query form: {query}");
+        assert_eq!(parsed.to_query().unwrap(), query);
+    }
+}
+
+/// Split a query string the way the server's request parser does:
+/// `&`-separated `key=value` pairs, values verbatim.
+fn query_params(query: &str) -> Vec<(String, String)> {
+    query
+        .split('&')
+        .filter_map(|kv| kv.split_once('='))
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
 }
 
 #[track_caller]
@@ -154,6 +176,64 @@ fn every_request_variant_roundtrips() {
         dataset: Some("patents".into()),
     });
     roundtrip_request(ApiRequest::Stats);
+}
+
+/// The query strings clients have always sent for streamed requests,
+/// byte for byte: the codec must keep emitting exactly these.
+#[test]
+fn query_strings_match_the_established_request_lines() {
+    let cases = [
+        (
+            ApiRequest::Window {
+                dataset: Some("dblp".into()),
+                layer: Some(2),
+                window: rect(),
+                session: Some(41),
+                packed: true,
+                predicate: Some(Predicate::And(vec![
+                    Predicate::Range {
+                        field: Field::Degree,
+                        min: Some(2.0),
+                        max: Some(10.0),
+                    },
+                    Predicate::NodeLabelPrefix("Q1".into()),
+                ])),
+                rid_range: Some((1024, 2047)),
+            },
+            "minx=-10.25&miny=0&maxx=1500.5&maxy=2000000&dataset=dblp&layer=2&session=41\
+             &encoding=packed&filter={\"kind\":\"and\",\"preds\":[{\"kind\":\"range\",\
+             \"field\":\"degree\",\"min\":2.0,\"max\":10.0},{\"kind\":\"node_label_prefix\",\
+             \"value\":\"Q1\"}]}&rid_lo=1024&rid_hi=2047&stream=1",
+        ),
+        (
+            ApiRequest::Search {
+                dataset: Some("dblp".into()),
+                layer: 1,
+                query: "graph mining".into(),
+                predicate: None,
+            },
+            "layer=1&q=graph+mining&stream=1&dataset=dblp",
+        ),
+        (
+            ApiRequest::Aggregate {
+                dataset: Some("dblp".into()),
+                layer: Some(1),
+                window: rect(),
+                predicate: Some(Predicate::NodeLabelEq("Q17".into())),
+                agg: AggOp::Histogram {
+                    field: Field::Degree,
+                    buckets: 16,
+                },
+            },
+            "minx=-10.25&miny=0&maxx=1500.5&maxy=2000000&dataset=dblp&layer=1&agg=histogram\
+             &field=degree&buckets=16&filter={\"kind\":\"node_label_eq\",\"value\":\"Q17\"}\
+             &stream=1",
+        ),
+    ];
+    for (req, expected) in cases {
+        assert_eq!(req.to_query().unwrap(), expected);
+        roundtrip_request(req);
+    }
 }
 
 #[test]
@@ -417,6 +497,34 @@ fn malformed_requests_are_typed_errors() {
         let err = ApiRequest::from_json(bad).expect_err(bad);
         assert_eq!(err.kind, ErrorKind::BadRequest, "{bad}");
     }
+    // The query-string form: text it cannot carry verbatim, and ops it
+    // has no form for, are typed errors at encode time — never a
+    // corrupted request line.
+    let search = |dataset: Option<&str>, query: &str, predicate| ApiRequest::Search {
+        dataset: dataset.map(String::from),
+        layer: 0,
+        query: query.into(),
+        predicate,
+    };
+    for req in [
+        search(None, "a&b", None),
+        search(None, "100%", None),
+        search(None, "tab\there", None),
+        search(Some("my data"), "x", None),
+        search(None, "x", Some(Predicate::NodeLabelEq("two words".into()))),
+        ApiRequest::Focus {
+            dataset: None,
+            layer: 0,
+            node: 1,
+        },
+    ] {
+        let err = req.to_query().expect_err("uncarried request");
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{req:?}");
+    }
+    // A query missing a required parameter names the endpoint's needs.
+    let err = ApiRequest::from_query("/window", &query_params("minx=0&miny=0")).unwrap_err();
+    assert_eq!(err.kind, ErrorKind::BadRequest);
+    assert!(err.message.contains("minx,miny,maxx,maxy"));
 }
 
 #[test]

@@ -11,8 +11,9 @@
 //!   [`ConnectionPool`]; a successful response returns its connection to
 //!   the pool, so a request sequence costs one TCP handshake. A pooled
 //!   connection the server idled out is retried once on a fresh one.
-//! * **Streamed results** — [`GvdbClient::window_stream`] /
-//!   [`GvdbClient::search_stream`] consume the chunked frame protocol:
+//! * **Streamed results** — [`GvdbClient::stream`] (and its typed
+//!   wrappers [`GvdbClient::window_stream`], [`GvdbClient::search_stream`],
+//!   [`GvdbClient::aggregate_stream`]) consumes the chunked frame protocol:
 //!   [`WindowStream`] is an iterator of decoded [`RowBatch`]es that
 //!   exposes the [`FrameHeader`] up-front (time-to-first-frame is
 //!   independent of window size) and the [`TrailerFrame`] — with the
@@ -210,32 +211,6 @@ impl WindowParams {
             rid_range: self.rid_range,
         }
     }
-
-    fn query_string(&self) -> Result<String> {
-        let mut q = format!(
-            "minx={}&miny={}&maxx={}&maxy={}",
-            self.window.min_x, self.window.min_y, self.window.max_x, self.window.max_y
-        );
-        if let Some(d) = &self.dataset {
-            q.push_str(&format!("&dataset={}", encode_query_value(d)?));
-        }
-        if let Some(l) = self.layer {
-            q.push_str(&format!("&layer={l}"));
-        }
-        if let Some(s) = self.session {
-            q.push_str(&format!("&session={s}"));
-        }
-        if self.packed {
-            q.push_str("&encoding=packed");
-        }
-        if let Some(p) = &self.predicate {
-            q.push_str(&format!("&filter={}", encode_filter(p)?));
-        }
-        if let Some((lo, hi)) = self.rid_range {
-            q.push_str(&format!("&rid_lo={lo}&rid_hi={hi}"));
-        }
-        Ok(q)
-    }
 }
 
 /// Parameters of a window aggregation (buffered or streamed).
@@ -275,70 +250,6 @@ impl AggregateParams {
             agg: self.agg.clone(),
         }
     }
-
-    fn query_string(&self) -> Result<String> {
-        let mut q = format!(
-            "minx={}&miny={}&maxx={}&maxy={}",
-            self.window.min_x, self.window.min_y, self.window.max_x, self.window.max_y
-        );
-        if let Some(d) = &self.dataset {
-            q.push_str(&format!("&dataset={}", encode_query_value(d)?));
-        }
-        if let Some(l) = self.layer {
-            q.push_str(&format!("&layer={l}"));
-        }
-        match &self.agg {
-            AggOp::Count => q.push_str("&agg=count"),
-            AggOp::Min(f) => q.push_str(&format!("&agg=min&field={}", f.as_str())),
-            AggOp::Max(f) => q.push_str(&format!("&agg=max&field={}", f.as_str())),
-            AggOp::Histogram { field, buckets } => q.push_str(&format!(
-                "&agg=histogram&field={}&buckets={buckets}",
-                field.as_str()
-            )),
-        }
-        if let Some(p) = &self.predicate {
-            q.push_str(&format!("&filter={}", encode_filter(p)?));
-        }
-        Ok(q)
-    }
-}
-
-/// Encode a predicate for the `filter=` query parameter: the canonical
-/// JSON travels verbatim (the server does no percent-decoding), so a
-/// predicate whose label text needs URL metacharacters or whitespace is
-/// rejected here — those ride the buffered `POST /v1` form.
-fn encode_filter(p: &Predicate) -> Result<String> {
-    let text = p.to_json();
-    if text.chars().any(|c| {
-        c.is_control() || c.is_whitespace() || matches!(c, '&' | '#' | '?' | '+' | '=' | '%')
-    }) {
-        return Err(ClientError::Protocol(
-            "the predicate's text cannot travel in a query string; \
-             use a buffered call (POST /v1) instead"
-                .into(),
-        ));
-    }
-    Ok(text)
-}
-
-/// Encode a text value for the `v1` query-string dialect: spaces travel
-/// as `+` (the server's `/v1/search` decodes them back). The dialect
-/// cannot carry URL metacharacters or whitespace-sensitive bytes — the
-/// server keeps values verbatim (no percent-decoding) and splits the
-/// request line on whitespace — so those are rejected up-front instead
-/// of silently corrupting the request; the buffered POST forms carry
-/// arbitrary strings.
-fn encode_query_value(value: &str) -> Result<String> {
-    if value
-        .chars()
-        .any(|c| c.is_control() || matches!(c, '&' | '#' | '?' | '+' | '=' | '%' | '\t'))
-    {
-        return Err(ClientError::Protocol(format!(
-            "value '{value}' contains characters the v1 query string cannot carry; \
-             use a buffered call (POST /v1) instead"
-        )));
-    }
-    Ok(value.replace(' ', "+"))
 }
 
 /// The result of a mutation: the layer's **new** epoch (and the inserted
@@ -461,8 +372,7 @@ impl GvdbClient {
     /// trailer — whose epoch is newer than the header's iff an edit
     /// raced the aggregation.
     pub fn aggregate_stream(&self, params: &AggregateParams) -> Result<WindowStream> {
-        let path = format!("/v1/aggregate?{}&stream=1", params.query_string()?);
-        self.open_stream(&path)
+        self.stream(&params.request())
     }
 
     /// Focus on a node: its neighbourhood payload and row count.
@@ -604,54 +514,21 @@ impl GvdbClient {
 
     // -- streamed results ---------------------------------------------------
 
-    /// A **streamed** window query: the frame protocol over chunked
-    /// transfer-encoding. The returned [`WindowStream`] has already read
-    /// the [`FrameHeader`], so the first row batch is one iteration away.
-    pub fn window_stream(&self, params: &WindowParams) -> Result<WindowStream> {
-        let path = format!("/v1/window?{}&stream=1", params.query_string()?);
-        self.open_stream(&path)
-    }
-
-    /// A **streamed** keyword search. Spaces in `query` are fine (they
-    /// travel as `+`); strings the query-string dialect cannot carry are
-    /// a [`ClientError::Protocol`] — use [`GvdbClient::search`] for
-    /// those.
-    pub fn search_stream(
-        &self,
-        dataset: Option<&str>,
-        layer: usize,
-        query: &str,
-    ) -> Result<WindowStream> {
-        self.search_stream_filtered(dataset, layer, query, None)
-    }
-
-    /// [`GvdbClient::search_stream`] with an attribute predicate (the
-    /// `filter=` query parameter). Predicates the query-string dialect
-    /// cannot carry are a [`ClientError::Protocol`] — use
-    /// [`GvdbClient::search_filtered`] (buffered) for those.
-    pub fn search_stream_filtered(
-        &self,
-        dataset: Option<&str>,
-        layer: usize,
-        query: &str,
-        predicate: Option<&Predicate>,
-    ) -> Result<WindowStream> {
-        let mut path = format!(
-            "/v1/search?layer={layer}&q={}&stream=1",
-            encode_query_value(query)?
-        );
-        if let Some(d) = dataset {
-            path.push_str(&format!("&dataset={}", encode_query_value(d)?));
-        }
-        if let Some(p) = predicate {
-            path.push_str(&format!("&filter={}", encode_filter(p)?));
-        }
-        self.open_stream(&path)
-    }
-
-    fn open_stream(&self, path: &str) -> Result<WindowStream> {
+    /// A **streamed** request (`window`, `search` or `aggregate`): the
+    /// frame protocol over chunked transfer-encoding, requested as
+    /// `GET /v1/<op>?<`[`ApiRequest::to_query`]`>`. The returned
+    /// [`WindowStream`] has already read the [`FrameHeader`], so the
+    /// first row batch is one iteration away. A request the query string
+    /// cannot carry (URL metacharacters in a text field, any other op) is
+    /// a [`ClientError::Protocol`] before anything is sent — use the
+    /// buffered call, which rides `POST /v1`, for those.
+    pub fn stream(&self, request: &ApiRequest) -> Result<WindowStream> {
+        let query = request
+            .to_query()
+            .map_err(|e| ClientError::Protocol(e.message))?;
+        let path = format!("/v1/{}?{query}", request.op());
         let started = Instant::now();
-        let (mut reader, status, headers) = self.send(path, "GET", "", false)?;
+        let (mut reader, status, headers) = self.send(&path, "GET", "", false)?;
         if status != 200 {
             // Errors before the first frame are plain buffered responses.
             let body = read_buffered_body(&mut reader, &headers)?;
@@ -667,34 +544,14 @@ impl GvdbClient {
             ));
         }
         let keep_alive = header(&headers, "connection").is_some_and(|v| v.contains("keep-alive"));
-        let mut stream = WindowStream {
-            frames: FrameReader {
-                reader,
-                finished: false,
-                broken: false,
-                last_frame_bytes: 0,
-            },
-            header: FrameHeader {
-                op: String::new(),
-                dataset: String::new(),
-                layer: 0,
-                epoch: 0,
-                source: None,
-                session: None,
-            },
-            progress: None,
-            summary: None,
-            trailer: None,
-            pool: Arc::clone(&self.pool),
-            addr: self.addr.clone(),
-            keep_alive,
-            started,
-            header_ms: 0.0,
-            first_rows_ms: None,
-            rows_wire_bytes: 0,
+        let mut frames = FrameReader {
+            reader,
+            finished: false,
+            broken: false,
+            last_frame_bytes: 0,
         };
-        match stream.frames.next_frame()? {
-            Some(ApiFrame::Header(h)) => stream.header = h,
+        let header = match frames.next_frame()? {
+            Some(ApiFrame::Header(h)) => h,
             Some(other) => {
                 return Err(ClientError::Protocol(format!(
                     "stream began with a '{}' frame instead of the header",
@@ -702,9 +559,54 @@ impl GvdbClient {
                 )))
             }
             None => return Err(ClientError::Protocol("empty stream".into())),
-        }
-        stream.header_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok(stream)
+        };
+        Ok(WindowStream {
+            frames,
+            header,
+            progress: None,
+            summary: None,
+            trailer: None,
+            pool: Arc::clone(&self.pool),
+            addr: self.addr.clone(),
+            keep_alive,
+            started,
+            header_ms: started.elapsed().as_secs_f64() * 1e3,
+            first_rows_ms: None,
+            rows_wire_bytes: 0,
+        })
+    }
+
+    /// A **streamed** window query (see [`GvdbClient::stream`]).
+    pub fn window_stream(&self, params: &WindowParams) -> Result<WindowStream> {
+        self.stream(&params.request())
+    }
+
+    /// A **streamed** keyword search (see [`GvdbClient::stream`]; spaces
+    /// in `query` travel as `+`).
+    pub fn search_stream(
+        &self,
+        dataset: Option<&str>,
+        layer: usize,
+        query: &str,
+    ) -> Result<WindowStream> {
+        self.search_stream_filtered(dataset, layer, query, None)
+    }
+
+    /// [`GvdbClient::search_stream`] with an attribute predicate (the
+    /// `filter=` query parameter).
+    pub fn search_stream_filtered(
+        &self,
+        dataset: Option<&str>,
+        layer: usize,
+        query: &str,
+        predicate: Option<&Predicate>,
+    ) -> Result<WindowStream> {
+        self.stream(&ApiRequest::Search {
+            dataset: dataset.map(String::from),
+            layer,
+            query: query.to_string(),
+            predicate: predicate.cloned(),
+        })
     }
 
     // -- HTTP plumbing ------------------------------------------------------

@@ -240,14 +240,12 @@ fn streamed_window_matches_buffered_and_reuses_connections() {
 
 /// The negotiated compact encoding is invisible above the wire: a
 /// packed-by-default client and a `packed: false` client reassemble the
-/// exact same bytes as the buffered envelope, the packed wire is
-/// measurably smaller, and a `--plain-frames` server quietly demotes the
-/// negotiation without changing a single payload byte.
+/// exact same bytes as the buffered envelope, and the packed wire is
+/// measurably smaller.
 #[test]
-fn packed_negotiation_is_transparent_and_plain_frames_demotes_it() {
+fn packed_negotiation_is_transparent() {
     let (qm, path) = manager("packed", 500);
-    let qm: Arc<dyn gvdb_core::GraphService> = Arc::new(qm);
-    let server = Server::start(Arc::clone(&qm), ServerConfig::default()).unwrap();
+    let server = Server::start(Arc::new(qm), ServerConfig::default()).unwrap();
     let client = GvdbClient::new(server.addr().to_string());
     let whole_plane = RectDto {
         min_x: -1e9,
@@ -294,25 +292,6 @@ fn packed_negotiation_is_transparent_and_plain_frames_demotes_it() {
     assert!(
         packed_wire * 2 < plain_wire,
         "packed wire {packed_wire} B should be well under half of plain {plain_wire} B"
-    );
-    server.shutdown();
-
-    // The operational escape hatch: a --plain-frames server ignores the
-    // client's `encoding=packed` and streams plain — same bytes anyway.
-    let server = Server::start(
-        qm,
-        ServerConfig {
-            plain_frames: true,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let client = GvdbClient::new(server.addr().to_string());
-    let (demoted_text, demoted_wire) = reassemble(&client, &packed_params);
-    assert_eq!(demoted_text, buffered);
-    assert!(
-        demoted_wire > packed_wire * 2,
-        "demoted stream carries plain frames"
     );
     server.shutdown();
     std::fs::remove_file(&path).ok();

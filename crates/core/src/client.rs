@@ -29,8 +29,9 @@ pub struct ClientModel {
     pub rtt_ms: f64,
     /// Transfer rate (bytes per ms). 100 Mbit/s ≈ 12_500 bytes/ms.
     pub bytes_per_ms: f64,
-    /// Rows per streamed `Rows` frame — the same batch size the real
-    /// streaming path uses (see `QueryManager::call_streamed`).
+    /// Rows per streamed `Rows` frame — the batch size the engine's
+    /// window and search streams use
+    /// ([`GraphService::call_streamed`](crate::GraphService::call_streamed)).
     pub chunk_rows: usize,
     /// Per-chunk processing overhead on the client (ms).
     pub per_chunk_ms: f64,

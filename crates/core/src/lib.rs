@@ -70,7 +70,7 @@ pub use query::{QueryManager, SearchHit, WindowResponse};
 pub use registry::{SessionHandle, SessionId, SessionRegistry, SessionStats};
 pub use repl::ReplProvider;
 pub use service::{
-    stream_single, ApiOutcome, FrameBuffer, FrameSink, GraphService, WindowOutcome, DEFAULT_DATASET,
+    ApiOutcome, FrameBuffer, FrameSink, GraphService, WindowOutcome, DEFAULT_DATASET,
 };
 pub use session::{Filters, Session};
 pub use workspace::{SharedWorkspace, Workspace};

@@ -274,28 +274,23 @@ pub trait GraphService: Send + Sync {
     /// The dataset names this service can resolve.
     fn dataset_names(&self) -> Vec<String>;
 
-    /// Execute one **streamable** request (`window`, `search`, `focus`),
-    /// delivering the result as a typed frame sequence
-    /// (`Header · Rows* · Trailer`, see `gvdb_api::frame`) instead of one
-    /// buffered response.
+    /// Execute one **streamable** request (`window`, `search`,
+    /// `aggregate`, `focus`), delivering the result as a typed frame
+    /// sequence (`Header · Rows* · Trailer`, see `gvdb_api::frame`)
+    /// instead of one buffered response.
     ///
-    /// The default implementation wraps [`GraphService::call`] in a
-    /// single `Header + Rows + Trailer` sequence — correct for any
-    /// service, incremental for none. [`QueryManager`] and
-    /// [`SharedWorkspace`] override it with the real incremental path:
-    /// row batches stream as the engine produces them, delta pans emit
-    /// reused rows before arrivals, and the trailer re-samples the layer
-    /// epoch so a racing edit is visible to the client.
+    /// The engine-backed implementations ([`QueryManager`],
+    /// [`SharedWorkspace`]) stream incrementally: row batches go out as
+    /// the engine produces them, delta pans emit reused rows before
+    /// arrivals, and the trailer re-samples the layer epoch so a racing
+    /// edit is visible to the client.
     ///
     /// Errors before the first frame surface as `Err` (the caller still
     /// owns its transport and can send a plain error response); once the
     /// header is out, sink failures propagate as `Err` and the caller
     /// must abandon the transport. Non-streamable operations are a
-    /// [`gvdb_api::ErrorKind::BadRequest`].
-    fn call_streamed(&self, request: &ApiRequest, sink: &mut dyn FrameSink) -> ApiResult<()> {
-        let outcome = self.call(request)?;
-        stream_single(request, outcome, sink)
-    }
+    /// [`gvdb_api::ErrorKind::BadRequest`], rejected before they run.
+    fn call_streamed(&self, request: &ApiRequest, sink: &mut dyn FrameSink) -> ApiResult<()>;
 }
 
 impl GraphService for QueryManager {
@@ -321,15 +316,8 @@ impl GraphService for QueryManager {
     }
 
     fn call_streamed(&self, request: &ApiRequest, sink: &mut dyn FrameSink) -> ApiResult<()> {
-        match request {
-            ApiRequest::Window { .. }
-            | ApiRequest::Search { .. }
-            | ApiRequest::Aggregate { .. } => {
-                self.check_default_dataset(request)?;
-                stream_dataset(DEFAULT_DATASET, self, request, sink)
-            }
-            other => stream_single(other, self.call(other)?, sink),
-        }
+        self.check_default_dataset(request)?;
+        stream_dataset(DEFAULT_DATASET, self, request, sink)
     }
 }
 
@@ -378,15 +366,8 @@ impl GraphService for SharedWorkspace {
     }
 
     fn call_streamed(&self, request: &ApiRequest, sink: &mut dyn FrameSink) -> ApiResult<()> {
-        match request {
-            ApiRequest::Window { .. }
-            | ApiRequest::Search { .. }
-            | ApiRequest::Aggregate { .. } => {
-                let (name, qm) = self.resolve(request.dataset())?;
-                stream_dataset(&name, &qm, request, sink)
-            }
-            other => stream_single(other, self.call(other)?, sink),
-        }
+        let (name, qm) = self.resolve(request.dataset())?;
+        stream_dataset(&name, &qm, request, sink)
     }
 }
 
@@ -616,69 +597,79 @@ fn hit_dto(h: &SearchHit) -> SearchHitDto {
     }
 }
 
-/// The trait-default streaming shape: one `Header + Rows + Trailer`
-/// sequence around an already-computed [`ApiOutcome`]. Correct for any
-/// [`GraphService`]; the engine-backed implementations override
-/// [`GraphService::call_streamed`] with the chunked incremental path
-/// instead.
-pub fn stream_single(
+/// The incremental streaming path of one resolved dataset. A window is
+/// planned and emitted chunk by chunk ([`emit_window`]); a search,
+/// aggregate or focus is computed first — so its errors surface before
+/// any frame — and its outcome emitted ([`emit_outcome`]). Every other op
+/// is rejected before it runs.
+fn stream_dataset(
+    name: &str,
+    qm: &QueryManager,
     request: &ApiRequest,
-    outcome: ApiOutcome,
     sink: &mut dyn FrameSink,
 ) -> ApiResult<()> {
-    match outcome {
-        ApiOutcome::Window(outcome) => {
-            let meta = outcome.meta();
-            sink.emit(&ApiFrame::Header(window_header(&meta)))?;
-            let rows = outcome.response.rows.len() as u64;
-            let mut frames = 0u64;
-            if rows > 0 {
-                sink.emit(&ApiFrame::Rows(RowBatch::Graph {
-                    graph: outcome.response.json.text.clone(),
-                    nodes: outcome.response.json.node_count as u64,
-                    edges: outcome.response.json.edge_count as u64,
-                    reused: meta.source == Source::Hit,
-                }))?;
-                frames = 1;
-            }
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                epoch: meta.epoch,
-                source: Some(meta.source),
-                rows,
-                rows_reused: meta.rows_reused as u64,
-                rows_fetched: meta.rows_fetched as u64,
-                frames,
-            }))
+    match request {
+        ApiRequest::Window { packed, .. } => {
+            let (target, plan) = plan_window(qm, request)?;
+            emit_window(name, qm, target, plan, *packed, sink)
         }
+        ApiRequest::Search { .. } | ApiRequest::Aggregate { .. } | ApiRequest::Focus { .. } => {
+            emit_outcome(qm, call_dataset(name, qm, request)?, sink)
+        }
+        other => Err(ApiError::bad_request(format!(
+            "op '{}' is not streamable; use the buffered call",
+            other.op()
+        ))),
+    }
+}
+
+/// Stream a computed search, aggregate or focus outcome: hits in
+/// [`crate::ClientModel::chunk_rows`]-sized `Rows` frames (with progress
+/// frames when there is more than one), an aggregate as `Progress ·
+/// Summary`, a focus neighbourhood as one `Graph` frame. The trailer
+/// re-samples the layer epoch: newer than the header's iff an edit raced
+/// the request.
+fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink) -> ApiResult<()> {
+    let header = |op: &str, dataset: String, layer: usize, epoch: u64| {
+        ApiFrame::Header(FrameHeader {
+            op: op.into(),
+            dataset,
+            layer,
+            epoch,
+            source: None,
+            session: None,
+        })
+    };
+    let (layer, rows, frames) = match outcome {
         ApiOutcome::Hits {
             dataset,
             layer,
             epoch,
             hits,
         } => {
-            sink.emit(&ApiFrame::Header(FrameHeader {
-                op: "search".into(),
-                dataset,
-                layer,
-                epoch,
-                source: None,
-                session: None,
-            }))?;
-            let mut frames = 0u64;
-            if !hits.is_empty() {
-                sink.emit(&ApiFrame::Rows(RowBatch::Hits {
-                    hits: hits.iter().map(hit_dto).collect(),
-                }))?;
-                frames = 1;
+            sink.emit(&header("search", dataset, layer, epoch))?;
+            let chunk = qm.client_model().chunk_rows.max(1);
+            let mut out = RowsEmitter::new(false, hits.len(), chunk);
+            for batch in hits.chunks(chunk) {
+                let hits = batch.iter().map(hit_dto).collect();
+                out.send(sink, RowBatch::Hits { hits }, batch.len())?;
             }
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                epoch,
-                source: None,
-                rows: hits.len() as u64,
-                rows_reused: 0,
-                rows_fetched: hits.len() as u64,
-                frames,
-            }))
+            (layer, hits.len() as u64, out.frames)
+        }
+        ApiOutcome::Aggregate {
+            dataset,
+            layer,
+            epoch,
+            result,
+        } => {
+            sink.emit(&header("aggregate", dataset, layer, epoch))?;
+            let rows = result.rows;
+            sink.emit(&ApiFrame::Progress(ProgressFrame {
+                rows_sent: rows,
+                rows_total: rows,
+            }))?;
+            sink.emit(&ApiFrame::Summary(result))?;
+            (layer, rows, 1)
         }
         ApiOutcome::Focus {
             dataset,
@@ -687,15 +678,7 @@ pub fn stream_single(
             json,
             rows,
         } => {
-            sink.emit(&ApiFrame::Header(FrameHeader {
-                op: "focus".into(),
-                dataset,
-                layer,
-                epoch,
-                source: None,
-                session: None,
-            }))?;
-            let mut frames = 0u64;
+            sink.emit(&header("focus", dataset, layer, epoch))?;
             if rows > 0 {
                 sink.emit(&ApiFrame::Rows(RowBatch::Graph {
                     graph: json.text,
@@ -703,172 +686,19 @@ pub fn stream_single(
                     edges: json.edge_count as u64,
                     reused: false,
                 }))?;
-                frames = 1;
             }
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                epoch,
-                source: None,
-                rows: rows as u64,
-                rows_reused: 0,
-                rows_fetched: rows as u64,
-                frames,
-            }))
+            (layer, rows as u64, u64::from(rows > 0))
         }
-        ApiOutcome::Aggregate {
-            dataset,
-            layer,
-            epoch,
-            result,
-        } => {
-            sink.emit(&ApiFrame::Header(FrameHeader {
-                op: "aggregate".into(),
-                dataset,
-                layer,
-                epoch,
-                source: None,
-                session: None,
-            }))?;
-            let rows = result.rows;
-            sink.emit(&ApiFrame::Summary(result))?;
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                epoch,
-                source: None,
-                rows,
-                rows_reused: 0,
-                rows_fetched: rows,
-                frames: 1,
-            }))
-        }
-        _ => Err(ApiError::bad_request(format!(
-            "op '{}' is not streamable; use the buffered call",
-            request.op()
-        ))),
-    }
-}
-
-/// The [`FrameHeader`] of a window stream.
-fn window_header(meta: &WindowMeta) -> FrameHeader {
-    FrameHeader {
-        op: "window".into(),
-        dataset: meta.dataset.clone(),
-        layer: meta.layer,
-        epoch: meta.epoch,
-        source: Some(meta.source),
-        session: meta.session,
-    }
-}
-
-/// The incremental streaming path of one resolved dataset: `window`,
-/// `search` and `aggregate` requests only (every other op goes through
-/// [`stream_single`]). Row batches are sized by the manager's
-/// [`crate::ClientModel::chunk_rows`].
-fn stream_dataset(
-    name: &str,
-    qm: &QueryManager,
-    request: &ApiRequest,
-    sink: &mut dyn FrameSink,
-) -> ApiResult<()> {
-    let chunk = qm.client_model().chunk_rows.max(1);
-    match request {
-        ApiRequest::Window { packed, .. } => {
-            let (target, plan) = plan_window(qm, request)?;
-            emit_window(name, qm, target, plan, *packed, sink)
-        }
-        ApiRequest::Aggregate {
-            layer,
-            window,
-            predicate,
-            agg,
-            ..
-        } => {
-            let layer = layer.unwrap_or(0);
-            // Compute before the header so errors surface as a plain
-            // error response, not a truncated stream.
-            let (result, epoch) = qm
-                .aggregate_window(
-                    layer,
-                    &to_rect(window)?,
-                    predicate.as_ref(),
-                    agg,
-                    FilterMode::Auto,
-                )
-                .map_err(storage_error)?;
-            sink.emit(&ApiFrame::Header(FrameHeader {
-                op: "aggregate".into(),
-                dataset: name.to_string(),
-                layer,
-                epoch,
-                source: None,
-                session: None,
-            }))?;
-            sink.emit(&ApiFrame::Progress(ProgressFrame {
-                rows_sent: result.rows,
-                rows_total: result.rows,
-            }))?;
-            let rows = result.rows;
-            sink.emit(&ApiFrame::Summary(result))?;
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                // Re-sampled: newer than the header epoch iff an edit
-                // raced the aggregation.
-                epoch: qm.layer_epoch(layer),
-                source: None,
-                rows,
-                rows_reused: 0,
-                rows_fetched: rows,
-                frames: 1,
-            }))
-        }
-        ApiRequest::Search {
-            layer,
-            query,
-            predicate,
-            ..
-        } => {
-            // Errors (missing layer, edge-label predicate) surface
-            // before any frame is out.
-            let hits = search_op(qm, *layer, query, predicate.as_ref())?;
-            let epoch = qm.layer_epoch(*layer);
-            sink.emit(&ApiFrame::Header(FrameHeader {
-                op: "search".into(),
-                dataset: name.to_string(),
-                layer: *layer,
-                epoch,
-                source: None,
-                session: None,
-            }))?;
-            let total = hits.len() as u64;
-            let many = hits.len() > chunk;
-            let mut frames = 0u64;
-            let mut sent = 0u64;
-            for batch in hits.chunks(chunk) {
-                sink.emit(&ApiFrame::Rows(RowBatch::Hits {
-                    hits: batch.iter().map(hit_dto).collect(),
-                }))?;
-                frames += 1;
-                sent += batch.len() as u64;
-                if many {
-                    sink.emit(&ApiFrame::Progress(ProgressFrame {
-                        rows_sent: sent,
-                        rows_total: total,
-                    }))?;
-                }
-            }
-            sink.emit(&ApiFrame::Trailer(TrailerFrame {
-                epoch: qm.layer_epoch(*layer),
-                source: None,
-                rows: total,
-                rows_reused: 0,
-                rows_fetched: total,
-                frames,
-            }))
-        }
-        other => {
-            unreachable!(
-                "stream_dataset only handles window/search/aggregate, got '{}'",
-                other.op()
-            )
-        }
-    }
+        _ => unreachable!("only search, aggregate and focus outcomes are emitted"),
+    };
+    sink.emit(&ApiFrame::Trailer(TrailerFrame {
+        epoch: qm.layer_epoch(layer),
+        source: None,
+        rows,
+        rows_reused: 0,
+        rows_fetched: rows,
+        frames,
+    }))
 }
 
 /// Stream one planned window. A [`StreamPlan::Built`] payload (exact hit,
@@ -967,9 +797,9 @@ fn emit_window(
     }))
 }
 
-/// The `Rows` frame loop shared by every window stream: packed-or-plain
-/// encoding, the frame count, and a progress frame after each batch of a
-/// multi-frame stream.
+/// The `Rows` frame loop shared by every row stream (window frames and
+/// search hits): packed-or-plain window encoding, the frame count, and a
+/// progress frame after each batch of a multi-frame stream.
 struct RowsEmitter {
     /// `None` once packing is off: not negotiated, or the derivation
     /// diverged from the payload.
@@ -991,7 +821,8 @@ impl RowsEmitter {
         }
     }
 
-    /// Emit one frame over `rows`, the row slice its payload covers.
+    /// Emit one window frame over `rows`, the row slice its payload
+    /// covers.
     fn emit(
         &mut self,
         sink: &mut dyn FrameSink,
@@ -999,6 +830,7 @@ impl RowsEmitter {
         rows: &[(RowId, EdgeRow)],
         reused: bool,
     ) -> ApiResult<()> {
+        let edges = frame.edges;
         let batch = match self.enc.as_mut().map(|enc| enc.frame(rows)) {
             Some(rows) if rows.nodes.len() == frame.nodes => RowBatch::Packed { rows, reused },
             derived => {
@@ -1015,9 +847,15 @@ impl RowsEmitter {
                 }
             }
         };
+        self.send(sink, batch, edges)
+    }
+
+    /// Send one `Rows` frame of `rows` rows, then the progress frame of a
+    /// multi-frame stream.
+    fn send(&mut self, sink: &mut dyn FrameSink, batch: RowBatch, rows: usize) -> ApiResult<()> {
         sink.emit(&ApiFrame::Rows(batch))?;
         self.frames += 1;
-        self.sent += frame.edges as u64;
+        self.sent += rows as u64;
         if self.many {
             sink.emit(&ApiFrame::Progress(ProgressFrame {
                 rows_sent: self.sent,
@@ -1938,7 +1776,7 @@ mod tests {
     #[test]
     fn non_streamable_ops_fall_back_or_reject() {
         let (qm, path) = manager("stream-misc");
-        // Focus streams through the single-sequence default.
+        // Focus streams as one graph frame between header and trailer.
         let hits = qm.keyword_search(0, "Q1").unwrap();
         let mut sink = crate::FrameBuffer::new();
         qm.call_streamed(
@@ -1979,6 +1817,35 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(sink.frames.is_empty());
+
+        // A mutation is rejected before it runs, by both engine-backed
+        // services: no frame, no row deleted, no epoch bump.
+        let qm = std::sync::Arc::new(qm);
+        let ws = SharedWorkspace::new();
+        ws.add_manager("only", std::sync::Arc::clone(&qm)).unwrap();
+        let ApiOutcome::Window(view) = qm.call(&window_req(None)).unwrap() else {
+            panic!("wrong outcome")
+        };
+        let delete = ApiRequest::DeleteEdge {
+            dataset: None,
+            layer: 0,
+            rid: view
+                .response
+                .rows
+                .first()
+                .expect("window has rows")
+                .0
+                .to_u64(),
+        };
+        let state = || (qm.db().layer(0).unwrap().row_count(), qm.layer_epoch(0));
+        let before = state();
+        for svc in [&*qm as &dyn GraphService, &ws] {
+            let mut sink = crate::FrameBuffer::new();
+            let err = svc.call_streamed(&delete, &mut sink).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::BadRequest);
+            assert!(sink.frames.is_empty());
+            assert_eq!(state(), before, "the rejected mutation ran");
+        }
         std::fs::remove_file(&path).ok();
     }
 

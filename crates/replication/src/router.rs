@@ -210,82 +210,48 @@ impl GraphService for RouterService {
     }
 
     fn call_streamed(&self, request: &ApiRequest, sink: &mut dyn FrameSink) -> ApiResult<()> {
-        match request {
+        let idx = match request {
             ApiRequest::Window {
                 dataset,
                 layer,
                 window,
-                session,
+                session: None,
                 packed,
-                predicate,
-                rid_range,
+                predicate: None,
+                rid_range: None,
             } => {
+                // The decomposable case: fan out rid slices and merge.
+                // `window_merged` negotiates packed frames with the
+                // shards either way; `packed` only decides what this
+                // response re-emits.
                 let params = WindowParams {
                     dataset: dataset.clone(),
                     layer: *layer,
                     window: *window,
-                    session: *session,
-                    packed: *packed,
-                    predicate: predicate.clone(),
-                    rid_range: *rid_range,
+                    ..WindowParams::default()
                 };
-                if session.is_none() && predicate.is_none() && rid_range.is_none() {
-                    // The decomposable case: fan out rid slices and
-                    // merge. `window_merged` negotiates packed frames
-                    // with the shards either way; `packed` only decides
-                    // what this response re-emits.
-                    return self.stream_fanout(&params, *packed, sink);
-                }
-                // Everything else rides one replica whole: sessions pin
-                // to their home shard, predicates and explicit rid
-                // slices are answered fine by any full replica.
-                let idx = if session.is_some() {
-                    0
-                } else {
-                    self.rr.fetch_add(1, Ordering::Relaxed) % self.clients.len()
-                };
-                let stream = self.clients[idx]
-                    .window_stream(&params)
-                    .map_err(peer_error)?;
-                self.relay(stream, sink)
+                return self.stream_fanout(&params, *packed, sink);
             }
-            ApiRequest::Search {
-                dataset,
-                layer,
-                query,
-                predicate,
-            } => {
-                let idx = self.rr.fetch_add(1, Ordering::Relaxed) % self.clients.len();
-                let stream = self.clients[idx]
-                    .search_stream_filtered(dataset.as_deref(), *layer, query, predicate.as_ref())
-                    .map_err(peer_error)?;
-                self.relay(stream, sink)
+            // Everything else rides one replica whole: sessions pin to
+            // their home shard, predicates, explicit rid slices, searches
+            // and aggregates are answered fine by any full replica.
+            ApiRequest::Window {
+                session: Some(_), ..
+            } => 0,
+            ApiRequest::Window { .. }
+            | ApiRequest::Search { .. }
+            | ApiRequest::Aggregate { .. } => {
+                self.rr.fetch_add(1, Ordering::Relaxed) % self.clients.len()
             }
-            ApiRequest::Aggregate {
-                dataset,
-                layer,
-                window,
-                predicate,
-                agg,
-            } => {
-                let params = gvdb_client::AggregateParams {
-                    dataset: dataset.clone(),
-                    layer: *layer,
-                    window: *window,
-                    predicate: predicate.clone(),
-                    agg: agg.clone(),
-                };
-                let idx = self.rr.fetch_add(1, Ordering::Relaxed) % self.clients.len();
-                let stream = self.clients[idx]
-                    .aggregate_stream(&params)
-                    .map_err(peer_error)?;
-                self.relay(stream, sink)
+            other => {
+                return Err(ApiError::bad_request(format!(
+                    "operation '{}' is not streamable",
+                    other.op()
+                )))
             }
-            other => Err(ApiError::bad_request(format!(
-                "operation '{}' is not streamable",
-                other.op()
-            ))),
-        }
+        };
+        let stream = self.clients[idx].stream(request).map_err(peer_error)?;
+        self.relay(stream, sink)
     }
 }
 

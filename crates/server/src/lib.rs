@@ -38,11 +38,13 @@
 //! * **Per-dataset isolation** — sessions, epochs and caches live in each
 //!   dataset's own `QueryManager`; a mutation to one dataset can never
 //!   invalidate another's windows (integration-tested in `tests/v1.rs`).
-//! * **Streamed results** — `/v1/window` and `/v1/search` answer with
-//!   HTTP/1.1 chunked transfer-encoding by default: one typed
-//!   `gvdb_api::ApiFrame` per chunk (`Header · Rows* · Trailer`), so the
-//!   client paints row batches while later batches are still in flight
-//!   and time-to-first-frame is independent of window size. `stream=0`
+//! * **Streamed results** — `/v1/window`, `/v1/search` and
+//!   `/v1/aggregate` answer with HTTP/1.1 chunked transfer-encoding by
+//!   default: one typed `gvdb_api::ApiFrame` per chunk (`Header · Rows* ·
+//!   Trailer`), so the client paints row batches while later batches are
+//!   still in flight and time-to-first-frame is independent of window
+//!   size. Their query strings are `gvdb_api`'s codec
+//!   (`ApiRequest::from_query`), the one the client writes. `stream=0`
 //!   (or `Accept: application/json`) keeps the buffered envelope; the
 //!   `X-Gvdb-*` stats of the buffered form travel in the Trailer frame,
 //!   whose epoch is re-sampled at stream end so a racing edit is visible.
@@ -63,8 +65,9 @@
 //! |---|---|---|
 //! | `/v1/datasets` | GET | `ListDatasets` |
 //! | `/v1/layers?dataset=` | GET | `ListLayers` |
-//! | `/v1/window?dataset=&layer=&minx=&miny=&maxx=&maxy=[&session=][&stream=0][&encoding=packed]` | GET | `Window` (cold / hit / anchored delta; **streamed** unless `stream=0`; `encoding=packed` negotiates the compact `Rows` encoding — see `gvdb_api::pack` — unless the server runs `--plain-frames`) |
+//! | `/v1/window?dataset=&layer=&minx=&miny=&maxx=&maxy=[&session=][&stream=0][&encoding=packed]` | GET | `Window` (cold / hit / anchored delta; **streamed** unless `stream=0`; `encoding=packed` negotiates the compact `Rows` encoding — see `gvdb_api::pack`) |
 //! | `/v1/search?dataset=&layer=&q=[&stream=0]` | GET | `Search` (**streamed** unless `stream=0`) |
+//! | `/v1/aggregate?dataset=&layer=&minx=&miny=&maxx=&maxy=&agg=[&field=][&buckets=][&stream=0]` | GET | `Aggregate` (**streamed** unless `stream=0`) |
 //! | `/v1/focus?dataset=&layer=&node=` | GET | `Focus` |
 //! | `/v1/edge` | POST | `InsertEdge` (body: `{"dataset":…,"layer":…,"edge":{…}}` or a bare edge object) |
 //! | `/v1/edge/delete` | POST | `DeleteEdge` (body: `{"rid":…}`) |
@@ -90,8 +93,7 @@ pub use http::{Body, Request, Response, STREAM_CONTENT_TYPE};
 pub use gvdb_core::registry::{SessionHandle, SessionId, SessionRegistry};
 
 use gvdb_api::{
-    AggOp, ApiError, ApiFrame, ApiRequest, ApiResponse, DatasetStats, EdgeDto, Field, Json,
-    Predicate, RectDto, StatsDto,
+    ApiError, ApiFrame, ApiRequest, ApiResponse, DatasetStats, EdgeDto, Json, RectDto, StatsDto,
 };
 use gvdb_core::{ApiOutcome, FrameSink, GraphService, WindowOutcome};
 use parking_lot::Mutex;
@@ -132,12 +134,6 @@ pub struct ServerConfig {
     /// fine: the budget gates *pending* bytes, and a buffered response
     /// is one push into an empty outbox.)
     pub outbox_bytes: usize,
-    /// When set, streamed window responses ignore a client's
-    /// `encoding=packed` negotiation and always emit plain `Graph`
-    /// frames — an operational escape hatch (`serve --plain-frames`)
-    /// for debugging the wire with curl or fronting clients that log
-    /// raw frames.
-    pub plain_frames: bool,
     /// This node's replication personality, when it has one. Installs
     /// the `/v1/repl/*` and `/v1/shardmap` endpoints and the
     /// `replication` gauges in `/v1/stats`; `None` (the default)
@@ -157,7 +153,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("read_only", &self.read_only)
             .field("max_connections", &self.max_connections)
             .field("outbox_bytes", &self.outbox_bytes)
-            .field("plain_frames", &self.plain_frames)
             .field("repl", &self.repl.as_ref().map(|p| p.stats().role))
             .finish()
     }
@@ -173,7 +168,6 @@ impl Default for ServerConfig {
             read_only: Vec::new(),
             max_connections: 4096,
             outbox_bytes: 1 << 20,
-            plain_frames: false,
             repl: None,
         }
     }
@@ -194,7 +188,6 @@ struct AppState {
     backlog: usize,
     api_key: Option<String>,
     read_only: Vec<String>,
-    plain_frames: bool,
     repl: Option<Arc<dyn gvdb_core::ReplProvider>>,
     shutdown: Arc<AtomicBool>,
 }
@@ -243,7 +236,6 @@ impl Server {
             backlog,
             api_key: config.api_key.clone(),
             read_only: config.read_only.clone(),
-            plain_frames: config.plain_frames,
             repl: config.repl.clone(),
             shutdown: Arc::clone(&shutdown),
         });
@@ -402,18 +394,18 @@ fn execute_job(job: Job, state: &AppState) {
     // commit to the Connection header before the result exists, which
     // is why errors after the first frame close the connection instead.
     let reusable = request.keep_alive && allow_keep_alive && !state.shutdown.load(Ordering::SeqCst);
-    if let Some(mut api_request) = streamable_request(&request) {
-        if state.plain_frames {
-            // Operator opt-out: pretend the client never asked.
-            if let ApiRequest::Window { packed, .. } = &mut api_request {
-                *packed = false;
-            }
+    let response = match v1_request(&request, state) {
+        Ok(api_request) if wants_stream(&request, &api_request) => {
+            state.served.fetch_add(1, Ordering::Relaxed);
+            serve_streamed(&api_request, state, &conn, reusable);
+            return;
         }
-        state.served.fetch_add(1, Ordering::Relaxed);
-        serve_streamed(&api_request, state, &conn, reusable);
-        return;
-    }
-    let response = route(&request, state);
+        Ok(api_request) => match state.service.call(&api_request) {
+            Ok(outcome) => v1_response(outcome, state),
+            Err(e) => v1_error(e),
+        },
+        Err(response) => response,
+    };
     let keep_alive = reusable && response.is_success();
     state.served.fetch_add(1, Ordering::Relaxed);
     // One response, one push: an empty outbox accepts it whatever its
@@ -426,114 +418,20 @@ fn execute_job(job: Job, state: &AppState) {
 // The streamed result path
 // ---------------------------------------------------------------------------
 
-/// Whether this request goes down the streamed frame path, and as which
-/// typed request. Only `GET /v1/window`, `GET /v1/search` and
-/// `GET /v1/aggregate` stream;
-/// `stream=0` or an `Accept: application/json` header keeps the buffered
-/// envelope, and a malformed request falls through to
-/// the buffered route (which produces the proper `400`).
-fn streamable_request(request: &Request) -> Option<ApiRequest> {
-    if request.method != "GET" || !wants_stream(request) {
-        return None;
-    }
-    let rest = request.path.strip_prefix("/v1")?;
-    let dataset = request.param("dataset").map(str::to_string);
-    match rest {
-        "/window" => window_request(request, dataset),
-        "/search" => search_request(request, dataset),
-        "/aggregate" => aggregate_request(request, dataset),
-        _ => None,
-    }
-}
-
-/// `GET /v1/window` query parameters as the typed request (`None` when
-/// the window coordinates are missing or the `filter` is malformed) —
-/// one parser for the streamed and buffered paths, so both interpret
-/// identical URLs identically.
-fn window_request(request: &Request, dataset: Option<String>) -> Option<ApiRequest> {
-    let window = parse_window(request)?;
-    let predicate = parse_filter(request)?;
-    // A routed shard query restricts the window to a rid slice; either
-    // bound may be omitted (a half-open slice).
-    let rid_lo: Option<u64> = request.parse("rid_lo");
-    let rid_hi: Option<u64> = request.parse("rid_hi");
-    let rid_range = if rid_lo.is_none() && rid_hi.is_none() {
-        None
-    } else {
-        Some((rid_lo.unwrap_or(0), rid_hi.unwrap_or(u64::MAX)))
-    };
-    Some(ApiRequest::Window {
-        dataset,
-        layer: request.parse("layer"),
-        window,
-        session: request.parse("session"),
-        packed: request.param("encoding") == Some("packed"),
-        predicate,
-        rid_range,
-    })
-}
-
-/// `GET /v1/search` query parameters as the typed request (`None` when
-/// `q` is missing or the `filter` is malformed). '+'-for-space decoding
-/// happens here, on the one text field — shared by the streamed and
-/// buffered paths.
-fn search_request(request: &Request, dataset: Option<String>) -> Option<ApiRequest> {
-    let q = request.param("q")?;
-    let predicate = parse_filter(request)?;
-    Some(ApiRequest::Search {
-        dataset,
-        layer: request.parse("layer").unwrap_or(0),
-        query: q.replace('+', " "),
-        predicate,
-    })
-}
-
-/// The `filter=` query parameter as a typed [`Predicate`]: the canonical
-/// predicate JSON, verbatim. Returns `Some(None)` when absent,
-/// `Some(Some(p))` when well-formed, and `None` (request-level parse
-/// failure → 400) when malformed. Predicates whose label text needs
-/// URL-reserved characters ride the `POST /v1` RPC form instead.
-#[allow(clippy::option_option)]
-fn parse_filter(request: &Request) -> Option<Option<Predicate>> {
-    match request.param("filter") {
-        None => Some(None),
-        Some(text) => Predicate::from_json(text).ok().map(Some),
-    }
-}
-
-/// `GET /v1/aggregate` query parameters as the typed request: the window
-/// coordinates plus `agg=count|min|max|histogram`, an optional
-/// `field=x|y|degree|rank` (required for everything but `count`), an
-/// optional `buckets=` (histogram only) and the shared `filter=`.
-fn aggregate_request(request: &Request, dataset: Option<String>) -> Option<ApiRequest> {
-    let window = parse_window(request)?;
-    let predicate = parse_filter(request)?;
-    let field = || Field::parse(request.param("field").unwrap_or(""));
-    let agg = match request.param("agg")? {
-        "count" => AggOp::Count,
-        "min" => AggOp::Min(field()?),
-        "max" => AggOp::Max(field()?),
-        "histogram" => AggOp::Histogram {
-            field: field()?,
-            // Same bounds the wire parser enforces on the RPC form.
-            buckets: request.parse("buckets").unwrap_or(10).clamp(1, 4096),
-        },
-        _ => return None,
-    };
-    Some(ApiRequest::Aggregate {
-        dataset,
-        layer: request.parse("layer"),
-        window,
-        predicate,
-        agg,
-    })
-}
-
-/// Stream negotiation: an explicit `stream=` flag wins (any common
+/// Stream negotiation. Only a `GET` for a `window`, `search` or
+/// `aggregate` can stream: `/v1/focus` and the `POST /v1` RPC form are
+/// always buffered. Then an explicit `stream=` flag wins (any common
 /// falsey spelling opts out, anything else opts in); with no flag, a
 /// client that demands `application/json` (and nothing broader) gets the
 /// buffered envelope, everyone else streams.
-fn wants_stream(request: &Request) -> bool {
+fn wants_stream(request: &Request, api_request: &ApiRequest) -> bool {
+    let streamable = matches!(
+        api_request,
+        ApiRequest::Window { .. } | ApiRequest::Search { .. } | ApiRequest::Aggregate { .. }
+    );
+    if request.method != "GET" || !streamable {
+        return false;
+    }
     match request.param("stream") {
         Some("0") | Some("false") | Some("no") | Some("off") => return false,
         Some(_) => return true,
@@ -635,105 +533,59 @@ fn serve_streamed(api_request: &ApiRequest, state: &AppState, conn: &ConnHandle,
 // Routing
 // ---------------------------------------------------------------------------
 
-/// Dispatch one parsed request: `/v1/*` speaks the typed protocol, and
-/// every other path is a typed `404`.
-fn route(request: &Request, state: &AppState) -> Response {
-    match request.path.strip_prefix("/v1") {
-        Some(rest) => route_v1(rest, request, state),
-        None => v1_error(ApiError::not_found(format!(
+/// The typed request an HTTP request asks for — parsed once, gated by
+/// [`authorize`] — or the response that answers it outright: the
+/// liveness probe, the replication surface, or a typed `4xx`. Paths
+/// outside `/v1` get the typed `404`.
+fn v1_request(request: &Request, state: &AppState) -> Result<ApiRequest, Response> {
+    let Some(rest) = request.path.strip_prefix("/v1") else {
+        return Err(v1_error(ApiError::not_found(format!(
             "no endpoint {} {} (the API lives under /v1)",
             request.method, request.path
-        ))),
-    }
-}
-
-/// The `minx,miny,maxx,maxy` parameters as a [`RectDto`], if all present.
-/// (Ordering is validated by the service, so every consumer shares one
-/// error message.)
-fn parse_window(request: &Request) -> Option<RectDto> {
-    Some(RectDto {
-        min_x: request.parse("minx")?,
-        min_y: request.parse("miny")?,
-        max_x: request.parse("maxx")?,
-        max_y: request.parse("maxy")?,
-    })
-}
-
-fn route_v1(rest: &str, request: &Request, state: &AppState) -> Response {
+        ))));
+    };
     if let Some(response) = route_repl(rest, request, state) {
-        return response;
+        return Err(response);
     }
     let dataset = request.param("dataset").map(str::to_string);
     let api_request = match (request.method.as_str(), rest) {
-        ("GET", "/healthz") => return Response::ok("{\"ok\":true}"),
+        ("GET", "/healthz") => return Err(Response::ok("{\"ok\":true}")),
         // The RPC form: the body is a full serialized ApiRequest.
-        ("POST", "" | "/") => match ApiRequest::from_json(&request.body) {
-            Ok(req) => req,
-            Err(e) => return v1_error(e),
-        },
+        ("POST", "" | "/") => ApiRequest::from_json(&request.body).map_err(v1_error)?,
+        ("GET", "/window" | "/search" | "/aggregate") => {
+            ApiRequest::from_query(rest, &request.params).map_err(v1_error)?
+        }
         ("GET", "/datasets") => ApiRequest::ListDatasets,
         ("GET", "/layers") => ApiRequest::ListLayers { dataset },
-        ("GET", "/window") => match window_request(request, dataset) {
-            Some(req) => req,
-            None => {
-                return v1_error(ApiError::bad_request(
-                    "need minx,miny,maxx,maxy (and a well-formed filter)",
-                ))
-            }
-        },
-        ("GET", "/search") => match search_request(request, dataset) {
-            Some(req) => req,
-            None => return v1_error(ApiError::bad_request("need q (and a well-formed filter)")),
-        },
-        ("GET", "/aggregate") => match aggregate_request(request, dataset) {
-            Some(req) => req,
-            None => {
-                return v1_error(ApiError::bad_request(
-                    "need minx,miny,maxx,maxy and agg=count|min|max|histogram \
-                     (min/max/histogram also need field=x|y|degree|rank)",
-                ))
-            }
-        },
         ("GET", "/focus") => match request.parse("node") {
             Some(node) => ApiRequest::Focus {
                 dataset,
                 layer: request.parse("layer").unwrap_or(0),
                 node,
             },
-            None => return v1_error(ApiError::bad_request("need node")),
+            None => return Err(v1_error(ApiError::bad_request("need node"))),
         },
         ("GET" | "POST", "/session/new") => ApiRequest::SessionNew {
             dataset,
-            window: parse_window(request),
+            window: RectDto::from_query(&request.params),
         },
         ("GET" | "POST", "/session/close") => match request.parse("session") {
             Some(session) => ApiRequest::SessionClose { dataset, session },
-            None => return v1_error(ApiError::bad_request("need session")),
+            None => return Err(v1_error(ApiError::bad_request("need session"))),
         },
         ("GET", "/stats") => ApiRequest::Stats,
-        ("POST", "/edge") => match edge_body_request(request, dataset, false) {
-            Ok(req) => req,
-            Err(e) => return v1_error(e),
-        },
-        ("POST", "/edge/delete") => match edge_body_request(request, dataset, true) {
-            Ok(req) => req,
-            Err(e) => return v1_error(e),
-        },
+        ("POST", "/edge") => edge_body_request(request, dataset, false).map_err(v1_error)?,
+        ("POST", "/edge/delete") => edge_body_request(request, dataset, true).map_err(v1_error)?,
         ("POST", "/flush") => ApiRequest::Flush { dataset },
         _ => {
-            return v1_error(ApiError::not_found(format!(
+            return Err(v1_error(ApiError::not_found(format!(
                 "no v1 endpoint {} {}",
                 request.method, request.path
-            )))
+            ))))
         }
     };
-    if let Err(e) = authorize(&api_request, request, state) {
-        return v1_error(e);
-    }
-    match state.service.call(&api_request) {
-        Ok(outcome) => v1_response(outcome, state),
-        Err(e) => v1_error(e),
-    }
+    authorize(&api_request, request, state).map_err(v1_error)?;
+    Ok(api_request)
 }
 
 /// The replication surface: `/v1/repl/*` and `/v1/shardmap`, delegated
@@ -755,18 +607,8 @@ fn route_repl(rest: &str, request: &Request, state: &AppState) -> Option<Respons
             None => Err(ApiError::bad_request("need seq")),
         },
         ("GET", "/repl/snapshot") => provider.snapshot_json(),
-        ("POST", "/repl/checkpoint") => {
-            if let Some(key) = &state.api_key {
-                let expected = format!("Bearer {key}");
-                let presented = request.authorization.as_deref().unwrap_or("");
-                if !constant_time_eq(presented.as_bytes(), expected.as_bytes()) {
-                    return Some(v1_error(ApiError::unauthorized(
-                        "checkpoint push requires 'Authorization: Bearer <api-key>'",
-                    )));
-                }
-            }
-            provider.apply_checkpoint_json(&request.body)
-        }
+        ("POST", "/repl/checkpoint") => check_key(request, state, "checkpoint push")
+            .and_then(|()| provider.apply_checkpoint_json(&request.body)),
         ("GET", "/shardmap") => provider.shard_map_json(),
         _ => return None,
     };
@@ -791,15 +633,7 @@ fn authorize(
     if !needs_key {
         return Ok(());
     }
-    if let Some(key) = &state.api_key {
-        let expected = format!("Bearer {key}");
-        let presented = request.authorization.as_deref().unwrap_or("");
-        if !constant_time_eq(presented.as_bytes(), expected.as_bytes()) {
-            return Err(ApiError::unauthorized(
-                "this operation requires 'Authorization: Bearer <api-key>'",
-            ));
-        }
-    }
+    check_key(request, state, "this operation")?;
     if is_mutation && !state.read_only.is_empty() {
         // Resolve which dataset the mutation addresses: the explicit
         // selector, or the service's only dataset. (An ambiguous
@@ -820,6 +654,24 @@ fn authorize(
         }
     }
     Ok(())
+}
+
+/// With an API key configured, `request` must present it as
+/// `Authorization: Bearer <key>`; `what` names the gated operation in the
+/// typed `401`.
+fn check_key(request: &Request, state: &AppState, what: &str) -> Result<(), ApiError> {
+    let Some(key) = &state.api_key else {
+        return Ok(());
+    };
+    let expected = format!("Bearer {key}");
+    let presented = request.authorization.as_deref().unwrap_or("");
+    if constant_time_eq(presented.as_bytes(), expected.as_bytes()) {
+        Ok(())
+    } else {
+        Err(ApiError::unauthorized(format!(
+            "{what} requires 'Authorization: Bearer <api-key>'"
+        )))
+    }
 }
 
 /// Credential comparison that doesn't leak how long a correct prefix

@@ -116,7 +116,8 @@ impl RequestParser {
         let (path, query) = target.split_once('?').unwrap_or((target, ""));
         // Values are kept verbatim: '+'-for-space decoding only applies
         // to text fields and would corrupt numeric values ("1e+21" →
-        // "1e 21"), so the /search handler decodes its own `q`.
+        // "1e 21"), so the search decoder (`ApiRequest::from_query`)
+        // decodes its own `q`.
         let params: Vec<(String, String)> = query
             .split('&')
             .filter_map(|kv| kv.split_once('='))

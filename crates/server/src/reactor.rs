@@ -639,7 +639,6 @@ mod tests {
             backlog: 4,
             api_key: None,
             read_only: Vec::new(),
-            plain_frames: false,
             repl: None,
             shutdown: Arc::new(AtomicBool::new(false)),
         });

@@ -11,7 +11,7 @@
 //! gvdb serve <db> | <name>=<path>... | --workspace <dir>
 //!            [--addr HOST:PORT] [--workers N] [--backlog N]
 //!            [--max-connections N] [--outbox-bytes N]
-//!            [--api-key KEY] [--read-only DATASET]... [--plain-frames]
+//!            [--api-key KEY] [--read-only DATASET]...
 //! gvdb bench-smoke [--out FILE] [--concurrency-out FILE] [--http-out FILE]
 //!                  [--stream-out FILE] [--connections-out FILE]
 //!                  [--filter-out FILE]
@@ -71,7 +71,7 @@ const USAGE: &str = "usage:
   gvdb serve <db> | <name>=<path>... | --workspace <dir>
              [--addr HOST:PORT] [--workers N] [--backlog N]
              [--max-connections N] [--outbox-bytes N]
-             [--api-key KEY] [--read-only DATASET]... [--plain-frames]
+             [--api-key KEY] [--read-only DATASET]...
              [--replicate-to HOST:PORT]... [--ship-interval-ms N]
              [--follow HOST:PORT] [--poll-ms N]
   gvdb serve --router --shard HOST:PORT... [--addr HOST:PORT]
@@ -138,7 +138,7 @@ fn serve_positionals(args: &[String]) -> Result<Vec<&str>, String> {
             i += 2;
             continue;
         }
-        if arg == "--plain-frames" || arg == "--router" {
+        if arg == "--router" {
             i += 1;
             continue;
         }
@@ -340,10 +340,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .into_iter()
         .map(String::from)
         .collect();
-    // Operational escape hatch: refuse `encoding=packed` negotiation and
-    // serve every stream as plain JSON frames (e.g. when debugging a
-    // client with a packet capture).
-    config.plain_frames = args.iter().any(|a| a == "--plain-frames");
 
     // Replication / sharding roles.
     let replicate_to: Vec<String> = flag_all(args, "--replicate-to")
