@@ -22,7 +22,7 @@ use crate::record::EdgeRow;
 use crate::spatial_index::{Hit, PackedRoot, PagedRTree};
 use crate::trie::{blob, FullTextTrie};
 use gvdb_spatial::{Point, Rect, Segment};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// Persistent metadata of one layer table (what the catalog stores).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,7 +74,10 @@ pub struct LayerTable {
 impl LayerTable {
     /// Bulk-build a layer from rows — preprocessing Step 5 for one layer.
     /// Indexes are constructed after the heap load: B+-trees from sorted
-    /// runs, the R-tree by STR packing.
+    /// runs, the R-tree by STR packing, and the tries in ascending id
+    /// order so every posting insert is an append: the node-label trie
+    /// once per distinct node (not once per incident edge), the
+    /// edge-label trie by row id.
     ///
     /// Rows are written to the heap in **Morton order** of their geometry
     /// centers, so spatially close edges share heap pages. A window query
@@ -114,14 +117,19 @@ impl LayerTable {
         let encoded: Vec<Vec<u8>> = rows.iter().map(|r| r.encode()).collect();
         let rids = heap.insert_batch(pool, &encoded)?;
         let count = rows.len() as u64;
+        let mut node_labels: BTreeSet<(u64, &str)> = BTreeSet::new();
+        // `insert_batch` hands out rids ascending.
         for (row, rid) in rows.iter().zip(&rids) {
             let rid = rid.to_u64();
             n1.push((row.node1_id, rid));
             n2.push((row.node2_id, rid));
-            node_trie.insert(&row.node1_label, row.node1_id);
-            node_trie.insert(&row.node2_label, row.node2_id);
+            node_labels.insert((row.node1_id, &row.node1_label));
+            node_labels.insert((row.node2_id, &row.node2_label));
             edge_trie.insert(&row.edge_label, rid);
             geoms.push((row.geometry.segment(), rid));
+        }
+        for (id, label) in node_labels {
+            node_trie.insert(label, id);
         }
         // Sorted insertion keeps B+-tree construction append-mostly.
         n1.sort_unstable();
@@ -371,14 +379,16 @@ impl LayerTable {
     }
 
     /// Edit path: delete a row. Node-label postings are kept (the nodes may
-    /// appear in other rows); edge-label postings and geometry are removed.
+    /// appear in other rows); geometry and the rid's edge-label postings
+    /// are removed, the latter found through the row's own label so only
+    /// that label's suffix paths are walked.
     pub fn delete_row(&mut self, pool: &BufferPool, rid: RowId) -> Result<()> {
         let row = self.get(pool, rid)?;
         self.heap.delete(pool, rid)?;
         let rid64 = rid.to_u64();
         self.by_node1.remove(pool, row.node1_id, rid64)?;
         self.by_node2.remove(pool, row.node2_id, rid64)?;
-        self.edge_trie.remove_id(rid64);
+        self.edge_trie.remove(&row.edge_label, rid64);
         self.rtree.remove(&row.geometry.segment(), rid64);
         self.rows -= 1;
         self.tries_dirty = true;

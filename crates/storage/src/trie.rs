@@ -14,6 +14,12 @@
 //! Words are lowercased and tokenized on non-alphanumeric boundaries;
 //! suffix indexing is capped at [`MAX_WORD`] bytes per word to bound the
 //! O(len²) suffix blowup on pathological tokens.
+//!
+//! Every posting list is **sorted and unique**. An insert finds its slot
+//! by binary search, so ids arriving in ascending order (how a layer is
+//! bulk-built) are appended in O(log n), and a delete finds its id the
+//! same way. Loading sorts and dedups each list, so blobs written in
+//! first-seen order still open.
 
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
@@ -26,7 +32,8 @@ pub const MAX_WORD: usize = 32;
 #[derive(Debug, Default, Clone)]
 struct TrieNode {
     children: BTreeMap<u8, u32>,
-    /// Ids whose label has a word with this exact suffix ending here.
+    /// Ids whose label has a word with this exact suffix ending here;
+    /// sorted, no duplicates.
     ids: Vec<u64>,
 }
 
@@ -49,8 +56,9 @@ impl FullTextTrie {
         self.nodes.len()
     }
 
-    /// Index `label` under `id`. Idempotence is not enforced; callers index
-    /// each label/id pair once.
+    /// Index `label` under `id`. Idempotent: each posting list holds `id`
+    /// at most once, in sorted position. Inserting ids in ascending order
+    /// appends to every list it touches.
     pub fn insert(&mut self, label: &str, id: u64) {
         for word in tokenize(label) {
             let word = &word[..word.len().min(MAX_WORD)];
@@ -74,9 +82,9 @@ impl FullTextTrie {
             };
             cur = next;
         }
-        // Keep ids deduplicated (a label can repeat a word/suffix).
-        if self.nodes[cur].ids.last() != Some(&id) && !self.nodes[cur].ids.contains(&id) {
-            self.nodes[cur].ids.push(id);
+        let ids = &mut self.nodes[cur].ids;
+        if let Err(pos) = ids.binary_search(&id) {
+            ids.insert(pos, id);
         }
     }
 
@@ -101,13 +109,9 @@ impl FullTextTrie {
     }
 
     fn search_word(&self, word: &[u8]) -> Vec<u64> {
-        let mut cur = 0usize;
-        for &b in word {
-            match self.nodes[cur].children.get(&b) {
-                Some(&n) => cur = n as usize,
-                None => return Vec::new(),
-            }
-        }
+        let Some(cur) = self.find(word) else {
+            return Vec::new();
+        };
         // Collect the whole subtree: every suffix extending this prefix.
         let mut out = Vec::new();
         let mut stack = vec![cur];
@@ -120,12 +124,32 @@ impl FullTextTrie {
         out
     }
 
-    /// Remove `id` from every posting list that contains it. Used by the
-    /// edit path when a node label is deleted; O(total nodes).
-    pub fn remove_id(&mut self, id: u64) {
-        for node in &mut self.nodes {
-            node.ids.retain(|&x| x != id);
+    /// Undo [`FullTextTrie::insert`]`(label, id)` for an id indexed under
+    /// `label` alone, as a row id in the edge-label trie is: remove `id`
+    /// from the posting lists of `label`'s word suffixes and from no other
+    /// list. Other ids on those suffixes stay. Walks only those suffix
+    /// paths, not the whole trie.
+    pub fn remove(&mut self, label: &str, id: u64) {
+        for word in tokenize(label) {
+            let word = &word[..word.len().min(MAX_WORD)];
+            for start in 0..word.len() {
+                if let Some(n) = self.find(&word[start..]) {
+                    let ids = &mut self.nodes[n].ids;
+                    if let Ok(pos) = ids.binary_search(&id) {
+                        ids.remove(pos);
+                    }
+                }
+            }
         }
+    }
+
+    /// The trie node `path` leads to from the root, if any.
+    fn find(&self, path: &[u8]) -> Option<usize> {
+        let mut cur = 0usize;
+        for b in path {
+            cur = *self.nodes[cur].children.get(b)? as usize;
+        }
+        Some(cur)
     }
 
     /// Serialize into `pool` as a page-chain blob; returns the head page.
@@ -146,7 +170,9 @@ impl FullTextTrie {
         blob::write(pool, &bytes)
     }
 
-    /// Load a trie previously written by [`FullTextTrie::save`].
+    /// Load a trie previously written by [`FullTextTrie::save`]. Posting
+    /// lists are sorted and deduplicated on the way in, so blobs whose
+    /// lists are in first-seen order (older files) load to the same trie.
     pub fn load(pool: &BufferPool, head: PageId) -> Result<Self> {
         let bytes = blob::read(pool, head)?;
         let mut pos = 0usize;
@@ -166,6 +192,8 @@ impl FullTextTrie {
             for _ in 0..id_count {
                 ids.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
             }
+            ids.sort_unstable();
+            ids.dedup();
             let child_count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
             let mut children = BTreeMap::new();
             for _ in 0..child_count {
@@ -309,8 +337,42 @@ mod tests {
         let mut t = FullTextTrie::new();
         t.insert("shared word", 1);
         t.insert("shared word", 2);
-        t.remove_id(1);
+        t.remove("shared word", 1);
         assert_eq!(t.search("shared"), vec![2]);
+        assert_eq!(t.search("ord"), vec![2]);
+    }
+
+    #[test]
+    fn remove_keeps_other_labels_and_shared_suffixes() {
+        let mut t = FullTextTrie::new();
+        t.insert("shared", 1);
+        // A list outside `shared`'s suffixes keeps id 1.
+        t.insert("other", 1);
+        // "hared" and "red" end on suffix nodes of "shared" too.
+        t.insert("hared", 2);
+        t.insert("red", 3);
+        t.insert("shared", 4);
+        t.remove("shared", 1);
+        assert_eq!(t.search("shared"), vec![4]);
+        assert_eq!(t.search("hared"), vec![2, 4]);
+        assert_eq!(t.search("red"), vec![2, 3, 4]);
+        assert_eq!(t.search("other"), vec![1]);
+        // Removing a label that was never indexed, or an absent id, is a no-op.
+        t.remove("unseen", 2);
+        t.remove("red", 9);
+        assert_eq!(t.search("red"), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn postings_stay_sorted_whatever_the_insert_order() {
+        let mut t = FullTextTrie::new();
+        for id in [5, 1, 9, 1, 3, 5] {
+            t.insert("word", id);
+        }
+        for node in &t.nodes {
+            assert!(node.ids.windows(2).all(|w| w[0] < w[1]), "{:?}", node.ids);
+        }
+        assert_eq!(t.search("or"), vec![1, 3, 5, 9]);
     }
 
     #[test]
