@@ -36,12 +36,15 @@
 //!
 //! Like the rest of this crate the codec is hand-rolled canonical JSON
 //! over [`Json`]; every frame round-trips byte-exactly (graph fragments
-//! are spliced verbatim on write and re-canonicalized on read).
+//! are spliced verbatim on write, and on read validated and handed
+//! through byte for byte).
 
 use crate::json::Json;
 use crate::pack::PackedRows;
 use crate::predicate::AggregateDto;
-use crate::{need, need_str, need_u64, need_usize, ApiError, ApiResult, SearchHitDto, Source};
+use crate::{
+    need, need_raw, need_str, need_u64, need_usize, ApiError, ApiResult, SearchHitDto, Source,
+};
 use serde::{Deserialize, Serialize};
 
 /// Default rows per [`ApiFrame::Rows`] batch.
@@ -309,11 +312,12 @@ impl ApiFrame {
         Json::Obj(members)
     }
 
-    /// Parse the wire form produced by [`ApiFrame::to_json`]. Graph
-    /// fragments are re-canonicalized (parsed and re-serialized), so
-    /// round-trips of canonically-formatted fragments are exact.
+    /// Parse the wire form produced by [`ApiFrame::to_json`]. A graph
+    /// fragment is validated as JSON in place and handed through byte
+    /// for byte — no tree is built for it — so round-trips are exact
+    /// (see [`Json::parse_keeping`]).
     pub fn from_json(text: &str) -> ApiResult<ApiFrame> {
-        let v = Json::parse(text)
+        let (v, graph) = Json::parse_keeping(text, "graph")
             .map_err(|e| ApiError::bad_request(format!("malformed frame: {e}")))?;
         let kind = need_str(&v, "frame")?;
         Ok(match kind {
@@ -365,7 +369,7 @@ impl ApiFrame {
                     })
                 } else {
                     ApiFrame::Rows(RowBatch::Graph {
-                        graph: need(&v, "graph")?.to_string(),
+                        graph: need_raw(graph, "graph")?.to_string(),
                         nodes: need_u64(&v, "nodes")?,
                         edges: need_u64(&v, "edges")?,
                         reused: v.get("reused").and_then(Json::as_bool).unwrap_or(false),

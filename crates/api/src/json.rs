@@ -39,17 +39,21 @@ pub enum Json {
 impl Json {
     /// Parse one JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(value)
+        Parser::new(text).document(None)
+    }
+
+    /// [`Json::parse`], except that member `key` of a top-level object is
+    /// **validated in place** instead of built: it is checked against the
+    /// same grammar (the same escapes, surrogate rules and number
+    /// acceptance, so exactly the documents [`Json::parse`] accepts are
+    /// accepted), left out of the returned tree and returned as a slice
+    /// of `text`, byte for byte. The first occurrence wins, as with
+    /// [`Json::get`]. Row frames use this to hand their graph payload
+    /// through without building a tree for it and printing it back.
+    pub fn parse_keeping<'t>(text: &'t str, key: &str) -> Result<(Json, Option<&'t str>), String> {
+        let mut p = Parser::new(text);
+        let value = p.document(Some(key))?;
+        Ok((value, p.kept.map(|(start, end)| &text[start..end])))
     }
 
     /// Member `key` of an object (None for non-objects / missing keys).
@@ -198,11 +202,39 @@ pub fn escape_into(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Byte range of the member [`Json::parse_keeping`] validated in place.
+    kept: Option<(usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            kept: None,
+        }
+    }
+
+    /// One whole document; a top-level object's `keep` member is
+    /// validated in place (see [`Json::parse_keeping`]).
+    fn document(&mut self, keep: Option<&str>) -> Result<Json, String> {
+        self.skip_ws();
+        let value = if self.peek() == Some(b'{') {
+            self.object(keep)?
+        } else {
+            self.value()?
+        };
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing bytes at offset {}", self.pos));
+        }
+        Ok(value)
+    }
+
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -241,8 +273,15 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.seq(b'[', b']', |p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => self.object(None),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected byte 0x{other:02x} at offset {}",
@@ -252,135 +291,183 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// [`Parser::value`] without building anything: the same grammar,
+    /// checks and errors, with strings validated in place and numbers
+    /// held to the same acceptance.
+    fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => self.string_into(None),
+            Some(b'[') => self.seq(b'[', b']', Self::skip_value),
+            Some(b'{') => self.seq(b'{', b'}', |p| {
+                p.string_into(None)?;
+                p.colon()?;
+                p.skip_value()
+            }),
+            Some(b'-' | b'0'..=b'9') => {
+                let (text, start, is_float) = self.number_token();
+                // An integer token (`-`? digit*) always lands in Int, UInt
+                // or, past u64, Float — except a bare `-`.
+                if is_float || text == "-" {
+                    text.parse::<f64>()
+                        .map_err(|_| invalid_number(text, start))?;
+                }
+                Ok(())
+            }
+            // Literals allocate nothing; errors are worded the same.
+            _ => self.value().map(drop),
+        }
+    }
+
+    /// The bracketed list shape shared by arrays and objects: `open`,
+    /// zero or more comma-separated `item`s, `close`.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            item(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
+                Some(b) if b == close => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(());
                 }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
+                _ => {
+                    return Err(format!(
+                        "expected ',' or '{}' at offset {}",
+                        close as char, self.pos
+                    ))
+                }
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+    /// An object; its `keep` member (first occurrence) is validated in
+    /// place and its range recorded instead of being built.
+    fn object(&mut self, keep: Option<&str>) -> Result<Json, String> {
         let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
+        self.seq(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.colon()?;
+            if keep == Some(key.as_str()) {
+                let start = p.pos;
+                p.skip_value()?;
+                p.kept.get_or_insert((start, p.pos));
+            } else {
+                members.push((key, p.value()?));
             }
-        }
+            Ok(())
+        })?;
+        Ok(Json::Obj(members))
+    }
+
+    /// The `:` between an object key and its value.
+    fn colon(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
         let mut out = String::new();
+        self.string_into(Some(&mut out))?;
+        Ok(out)
+    }
+
+    /// One string literal, unescaped into `out` (`None` validates it
+    /// without copying).
+    fn string_into(&mut self, mut out: Option<&mut String>) -> Result<(), String> {
+        self.expect(b'"')?;
         loop {
             let start = self.pos;
-            // Fast path: copy the maximal escape-free run in one slice.
-            while let Some(b) = self.peek() {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+            // Fast path: the maximal escape-free run as one slice. It
+            // starts and ends next to ASCII bytes, so on char boundaries.
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(self.bytes.len() - start);
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(&self.text[start..self.pos]);
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid utf-8 in string".to_string())?,
-            );
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pair: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(c.ok_or_else(|| {
-                                format!("invalid \\u escape ending at offset {}", self.pos)
-                            })?);
-                            continue; // hex4 already advanced past the digits
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
+                    let c = self.escape()?;
+                    if let Some(out) = out.as_deref_mut() {
+                        out.push(c);
                     }
-                    self.pos += 1;
                 }
                 _ => return Err("unterminated string".into()),
             }
         }
     }
 
+    /// The character one escape sequence stands for (the backslash is
+    /// already consumed).
+    fn escape(&mut self) -> Result<char, String> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let cp = self.hex4()?;
+                // Surrogate pair: a high surrogate must be followed by an
+                // escaped low surrogate.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let lo = self.hex4()?;
+                        let combined =
+                            0x10000 + ((cp - 0xD800) << 10) + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(cp)
+                };
+                // hex4 already advanced past the digits.
+                return c
+                    .ok_or_else(|| format!("invalid \\u escape ending at offset {}", self.pos));
+            }
+            _ => return Err(format!("bad escape at offset {}", self.pos)),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
     fn hex4(&mut self) -> Result<u32, String> {
         let end = self.pos + 4;
-        let digits = self
-            .bytes
-            .get(self.pos..end)
-            .and_then(|d| std::str::from_utf8(d).ok())
-            .ok_or("truncated \\u escape")?;
+        let digits = self.text.get(self.pos..end).ok_or("truncated \\u escape")?;
         let cp = u32::from_str_radix(digits, 16).map_err(|_| "bad \\u escape".to_string())?;
         self.pos = end;
         Ok(cp)
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Scan one number token: its text, start offset and whether it has
+    /// a fraction, exponent or inner sign.
+    fn number_token(&mut self) -> (&'a str, usize, bool) {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -396,8 +483,11 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
+        (&self.text[start..self.pos], start, is_float)
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let (text, start, is_float) = self.number_token();
         if !is_float {
             if let Ok(v) = text.parse::<i64>() {
                 return Ok(Json::Int(v));
@@ -409,8 +499,12 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Json::Float)
-            .map_err(|_| format!("invalid number '{text}' at offset {start}"))
+            .map_err(|_| invalid_number(text, start))
     }
+}
+
+fn invalid_number(text: &str, start: usize) -> String {
+    format!("invalid number '{text}' at offset {start}")
 }
 
 #[cfg(test)]
@@ -501,6 +595,134 @@ mod tests {
             "01a",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// `text` as the `graph` member of an otherwise valid rows frame.
+    fn in_graph_member(text: &str) -> String {
+        format!("{{\"frame\":\"rows\",\"nodes\":0,\"edges\":0,\"graph\":{text},\"reused\":false}}")
+    }
+
+    #[test]
+    fn keeping_a_member_accepts_exactly_what_parse_accepts() {
+        let rejected = [
+            // The `garbage_is_rejected` corpus.
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"open",
+            "{\"a\" 1}",
+            "01a",
+            // Numbers.
+            "1.2.3",
+            "-",
+            "1e",
+            "1e+",
+            "--1",
+            "1-2",
+            "[-]",
+            "{\"x\":-}",
+            ".5",
+            "+1",
+            // Strings: lone and unpaired surrogates, bad escapes, raw
+            // control bytes.
+            "\"\\ud800\"",
+            "\"\\ud800x\"",
+            "\"\\udc00\"",
+            "\"\\ud83d\\u12\"",
+            "\"\\x41\"",
+            "\"\\u12g4\"",
+            "\"\\u12\"",
+            "\"\\",
+            "\"a\u{1}b\"",
+            "\"tab\there\"",
+            "\"new\nline\"",
+            // Truncations and unbalanced brackets.
+            "{\"nodes\":[{\"id\":1,\"label\":\"a\"",
+            "{\"nodes\":[],\"edges\":[]",
+            "{\"nodes\":[]]}",
+            "[[1]",
+            "[1]]",
+            "{\"a\":1,}",
+            "[1,]",
+            "{,}",
+            "{\"a\":1 \"b\":2}",
+            "{1:2}",
+            "nul",
+            "falsey",
+        ];
+        for bad in rejected {
+            let doc = in_graph_member(bad);
+            assert!(Json::parse(&doc).is_err(), "parse accepted {doc:?}");
+            assert!(
+                Json::parse_keeping(&doc, "graph").is_err(),
+                "parse_keeping accepted {doc:?}"
+            );
+            // The bare value, kept as a member of a one-member object.
+            let bare = format!("{{\"graph\":{bad}}}");
+            assert!(Json::parse_keeping(&bare, "graph").is_err(), "{bare:?}");
+        }
+        let accepted = [
+            "null",
+            "true",
+            "-0",
+            "01",
+            "1.",
+            "-1.5e+3",
+            "1E-2",
+            "1e400",
+            "18446744073709551615",
+            "-99999999999999999999",
+            "\"\\ud83d\\ude00\"",
+            // The escape decoder pairs a high surrogate with any \u escape.
+            "\"\\ud800\\u0041\"",
+            // `from_str_radix` takes a leading `+`.
+            "\"\\u+041\"",
+            "\"\\\"\\\\\\/\\b\\f\\n\\r\\t é😀\"",
+            " [ 1 , { \"a\" : [ ] } ] ",
+            "{\"nodes\":[{\"id\":1,\"label\":\"],\\\"edges\\\":[\",\"x\":-1.0}],\"edges\":[]}",
+        ];
+        for good in accepted {
+            let doc = in_graph_member(good);
+            let full = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+            let (tree, kept) = Json::parse_keeping(&doc, "graph").unwrap();
+            assert_eq!(kept, Some(good.trim()), "{doc:?}");
+            // The kept member reparses to what the full tree holds.
+            assert_eq!(
+                Json::parse(kept.unwrap()).as_ref(),
+                Ok(full.get("graph").unwrap())
+            );
+            // ... and the rest of the tree is unchanged, minus the member.
+            let Json::Obj(mut members) = full else {
+                unreachable!()
+            };
+            members.retain(|(k, _)| k != "graph");
+            assert_eq!(tree, Json::Obj(members));
+        }
+    }
+
+    #[test]
+    fn keeping_takes_the_first_top_level_member_only() {
+        let doc = r#"{"a":{"graph":1},"graph":[2],"graph":[3]}"#;
+        let (tree, kept) = Json::parse_keeping(doc, "graph").unwrap();
+        assert_eq!(kept, Some("[2]"));
+        assert_eq!(tree, Json::parse(r#"{"a":{"graph":1}}"#).unwrap());
+        // Not an object, or no such member: nothing is kept.
+        assert_eq!(Json::parse_keeping("[1]", "graph").unwrap().1, None);
+        assert_eq!(Json::parse_keeping("{\"b\":1}", "graph").unwrap().1, None);
+        // Errors are worded as parse words them.
+        for bad in [
+            "{\"graph\":[1,}",
+            "{\"graph\":\"\\q\"}",
+            "{\"graph\":1.2.3}",
+        ] {
+            assert_eq!(
+                Json::parse_keeping(bad, "graph").unwrap_err(),
+                Json::parse(bad).unwrap_err()
+            );
         }
     }
 

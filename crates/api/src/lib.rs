@@ -1135,8 +1135,8 @@ fn rid_range(lo: Option<u64>, hi: Option<u64>) -> Option<(u64, u64)> {
 ///
 /// The graph payload in [`ApiResponse::Window`] / [`ApiResponse::Focus`]
 /// is a **raw JSON string** (`{"nodes":[…],"edges":[…]}`); the serializer
-/// splices it into the envelope verbatim, and the parser re-canonicalizes
-/// it, so round-trips of canonically-formatted payloads are exact.
+/// splices it into the envelope verbatim, and the parser validates it and
+/// hands it through byte for byte, so round-trips are exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ApiResponse {
     /// Answer to [`ApiRequest::ListDatasets`].
@@ -1382,10 +1382,11 @@ impl ApiResponse {
     }
 
     /// Parse the wire form produced by [`ApiResponse::to_json`]. The graph
-    /// payload of `window` / `focus` responses is re-canonicalized (parsed
-    /// and re-serialized), so it is validated JSON.
+    /// payload of `window` / `focus` responses is validated JSON, handed
+    /// through byte for byte without building a tree for it (see
+    /// [`Json::parse_keeping`]).
     pub fn from_json(text: &str) -> ApiResult<ApiResponse> {
-        let v = Json::parse(text)
+        let (v, graph) = Json::parse_keeping(text, "graph")
             .map_err(|e| ApiError::bad_request(format!("malformed response: {e}")))?;
         let kind = need_str(&v, "kind")?;
         Ok(match kind {
@@ -1421,7 +1422,7 @@ impl ApiResponse {
             },
             "window" => ApiResponse::Window {
                 meta: WindowMeta::from_value(need(&v, "window")?)?,
-                graph: need(&v, "graph")?.to_string(),
+                graph: need_raw(graph, "graph")?.to_string(),
             },
             "hits" => ApiResponse::Hits {
                 hits: need(&v, "hits")?
@@ -1440,7 +1441,7 @@ impl ApiResponse {
             },
             "focus" => ApiResponse::Focus {
                 rows: need_u64(&v, "rows")?,
-                graph: need(&v, "graph")?.to_string(),
+                graph: need_raw(graph, "graph")?.to_string(),
             },
             "mutated" => ApiResponse::Mutated {
                 dataset: need_str(&v, "dataset")?.to_string(),
@@ -1504,6 +1505,11 @@ impl ApiResponse {
 pub(crate) fn need<'a>(v: &'a Json, key: &str) -> ApiResult<&'a Json> {
     v.get(key)
         .ok_or_else(|| ApiError::bad_request(format!("missing field '{key}'")))
+}
+
+/// A member [`Json::parse_keeping`] validated in place, as its raw text.
+pub(crate) fn need_raw<'a>(raw: Option<&'a str>, key: &str) -> ApiResult<&'a str> {
+    raw.ok_or_else(|| ApiError::bad_request(format!("missing field '{key}'")))
 }
 
 pub(crate) fn need_str<'a>(v: &'a Json, key: &str) -> ApiResult<&'a str> {

@@ -86,8 +86,9 @@ pub const SUFFIX: &str = "]}";
 /// marker kept on integral values. That grammar is a **fixed point** of
 /// a parse-and-reprint cycle, so the exact same bytes appear on every
 /// path: the server's canonical payload, a plain frame that crossed the
-/// wire and was re-emitted by the JSON layer, and a packed frame decoded
-/// from raw coordinate bits on the client.
+/// wire (its graph member is validated and handed through byte for
+/// byte), and a packed frame decoded from raw coordinate bits on the
+/// client.
 pub fn push_f64_json(out: &mut String, v: f64) {
     let short = format!("{v:.2}");
     let rounded: f64 = short.parse().unwrap_or(v);

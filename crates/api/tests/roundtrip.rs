@@ -303,7 +303,7 @@ fn every_response_variant_roundtrips() {
             rows_fetched: 44,
             session: Some(3),
         },
-        // Canonical payload text (what the parser re-emits).
+        // Canonical payload text (handed through byte for byte).
         graph: r#"{"nodes":[{"id":1,"label":"a","x":1.5,"y":2.5}],"edges":[]}"#.into(),
     });
     roundtrip_response(ApiResponse::Window {

@@ -490,7 +490,8 @@ impl GvdbClient {
             Ok(ApiResponse::Error(e)) => Err(ClientError::Api(e)),
             Ok(response) => Ok(response),
             Err(e) => Err(ClientError::Protocol(format!(
-                "unparseable response: {e} — body: {response_body}"
+                "unparseable response: {e} — body: {}",
+                excerpt(&response_body)
             ))),
         }
     }
@@ -534,7 +535,7 @@ impl GvdbClient {
             let body = read_buffered_body(&mut reader, &headers)?;
             return Err(match ApiResponse::from_json(&body) {
                 Ok(ApiResponse::Error(e)) => ClientError::Api(e),
-                _ => ClientError::Protocol(format!("status {status}: {body}")),
+                _ => ClientError::Protocol(format!("status {status}: {}", excerpt(&body))),
             });
         }
         if !header(&headers, "transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
@@ -785,7 +786,7 @@ impl FrameReader {
                 let text = std::str::from_utf8(&payload)
                     .map_err(|_| ClientError::Protocol("non-UTF-8 frame".into()))?;
                 let frame = ApiFrame::from_json(text.trim_end()).map_err(|e| {
-                    ClientError::Protocol(format!("bad frame: {e} — chunk: {text}"))
+                    ClientError::Protocol(format!("bad frame: {e} — chunk: {}", excerpt(text)))
                 })?;
                 Ok(Some(frame))
             }
@@ -815,8 +816,30 @@ impl FrameReader {
         self.reader.read_exact(&mut payload)?;
         let mut crlf = [0u8; 2];
         self.reader.read_exact(&mut crlf)?;
+        if &crlf != b"\r\n" {
+            return Err(ClientError::Protocol(format!(
+                "chunk of {size} bytes not followed by CRLF (got {crlf:02x?}): stream out of sync"
+            )));
+        }
         Ok(Some(payload))
     }
+}
+
+/// Bytes of a malformed body or frame quoted in an error message.
+const EXCERPT_BYTES: usize = 200;
+
+/// `text` cut to at most [`EXCERPT_BYTES`] on a char boundary, marked
+/// when cut — a bad frame can be many KB, and the error only needs its
+/// start.
+fn excerpt(text: &str) -> std::borrow::Cow<'_, str> {
+    if text.len() <= EXCERPT_BYTES {
+        return text.into();
+    }
+    let mut end = EXCERPT_BYTES;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}… ({} bytes)", &text[..end], text.len()).into()
 }
 
 /// A streamed result: iterator of decoded [`RowBatch`]es (used for both
@@ -1217,5 +1240,22 @@ impl MergedWindowStream {
     /// once every shard is drained.
     pub fn trailer(&self) -> Option<&TrailerFrame> {
         self.trailer.as_ref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn excerpts_are_capped_on_a_char_boundary() {
+        assert_eq!(excerpt("short"), "short");
+        let exact = "x".repeat(EXCERPT_BYTES);
+        assert_eq!(excerpt(&exact), exact);
+        // A 4-byte emoji straddles the cap: the cut backs off to its start.
+        let long = format!("{}😀{}", "a".repeat(EXCERPT_BYTES - 2), "b".repeat(10_000));
+        let cut = excerpt(&long);
+        let kept = "a".repeat(EXCERPT_BYTES - 2);
+        assert_eq!(cut, format!("{kept}… ({} bytes)", long.len()));
     }
 }

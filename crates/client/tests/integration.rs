@@ -543,3 +543,92 @@ fn filtered_windows_and_aggregates_round_trip() {
     server.shutdown();
     std::fs::remove_file(&path).ok();
 }
+
+/// A one-shot raw HTTP peer: accepts one connection, reads the request
+/// head and answers with `response` verbatim.
+fn raw_peer(response: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
+    use std::io::{Read, Write};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") && sock.read(&mut byte).unwrap_or(0) == 1 {
+            head.push(byte[0]);
+        }
+        sock.write_all(&response).ok();
+    });
+    (addr, handle)
+}
+
+/// A streamed response whose chunks are `(payload, terminator)` pairs
+/// (a well-formed chunk ends in `\r\n`).
+fn chunked_response(chunks: &[(&str, &str)]) -> Vec<u8> {
+    let mut out =
+        String::from("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n");
+    for (payload, terminator) in chunks {
+        out.push_str(&format!("{:x}\r\n{payload}{terminator}", payload.len()));
+    }
+    out.push_str("0\r\n\r\n");
+    out.into_bytes()
+}
+
+fn header_frame() -> String {
+    gvdb_api::ApiFrame::Header(gvdb_api::FrameHeader {
+        op: "window".into(),
+        dataset: "default".into(),
+        layer: 0,
+        epoch: 0,
+        source: Some(Source::Cold),
+        session: None,
+    })
+    .to_json()
+}
+
+fn protocol_message<T>(result: Result<T, ClientError>) -> String {
+    match result {
+        Err(ClientError::Protocol(message)) => message,
+        Err(other) => panic!("expected a protocol error, got {other:?}"),
+        Ok(_) => panic!("expected a protocol error, got a value"),
+    }
+}
+
+#[test]
+fn a_bad_chunk_terminator_is_a_protocol_error() {
+    let rows = "{\"frame\":\"rows\",\"nodes\":0,\"edges\":0,\"reused\":false,\"graph\":{\"nodes\":[],\"edges\":[]}}";
+    // The header chunk is well formed; the rows chunk is followed by two
+    // stray bytes instead of CRLF, so the reader is out of sync.
+    let (addr, peer) = raw_peer(chunked_response(&[(&header_frame(), "\r\n"), (rows, "XY")]));
+    let client = GvdbClient::new(addr);
+    let mut stream = client.window_stream(&WindowParams::default()).unwrap();
+    assert_eq!(stream.header.op, "window");
+    let message = protocol_message(stream.next_batch());
+    assert!(message.contains("CRLF"), "{message}");
+    peer.join().unwrap();
+}
+
+#[test]
+fn a_bad_frame_error_quotes_a_bounded_excerpt() {
+    let mut bad = String::from("{\"frame\":\"rows\",\"nodes\":1,\"edges\":0,\"graph\":[");
+    for _ in 0..5_000 {
+        bad.push_str("\"é😀\",");
+    }
+    let (addr, peer) = raw_peer(chunked_response(&[
+        (&header_frame(), "\r\n"),
+        (&bad, "\r\n"),
+    ]));
+    let client = GvdbClient::new(addr);
+    let mut stream = client.window_stream(&WindowParams::default()).unwrap();
+    let message = protocol_message(stream.next_batch());
+    assert!(message.starts_with("bad frame: "), "{message}");
+    assert!(message.contains("malformed frame"), "{message}");
+    assert!(message.contains("{\"frame\":\"rows\""), "{message}");
+    assert!(
+        message.len() < 512,
+        "{} bytes quoted from a {}-byte frame",
+        message.len(),
+        bad.len()
+    );
+    peer.join().unwrap();
+}
