@@ -14,8 +14,8 @@
 //!
 //! On a multi-core host aggregate throughput should grow with threads —
 //! the point of the sharded pool is that there is no global lock to
-//! plateau on. (On a single-core container the numbers stay flat; see
-//! BENCH_concurrency.json's `host_cpus` field.)
+//! plateau on. (On a single-core host the numbers stay flat: throughput
+//! cannot scale past the core count.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gvdb_bench::{

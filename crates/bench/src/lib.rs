@@ -139,9 +139,9 @@ pub fn random_windows(bounds: &Rect, size: f64, count: usize, seed: u64) -> Vec<
 /// side `side`, consecutive windows overlapping by the fraction `overlap`
 /// of their area along one axis, walking boustrophedon (right across the
 /// plane, down one step, back left, …) so the whole run stays inside
-/// `bounds`. This is the workload of the `window_pan` bench and the
-/// `gvdb bench-smoke` trajectory: every step is the paper's §II-B pan
-/// interaction at a controlled overlap ratio.
+/// `bounds`. This is the workload of the `window_pan` bench and of
+/// perfbench's `navigate` pan episodes: every step is the paper's §II-B
+/// pan interaction at a controlled overlap ratio.
 pub fn pan_trajectory(bounds: &Rect, side: f64, overlap: f64, steps: usize) -> Vec<Rect> {
     let step = (side * (1.0 - overlap)).max(1e-9);
     let max_x = (bounds.max_x - side).max(bounds.min_x);
@@ -176,23 +176,20 @@ pub fn scale_from_env() -> u64 {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1000)
 }
-/// Thread counts swept by the concurrent-read harnesses (the
-/// `concurrent_reads` criterion bench and the `gvdb bench-smoke`
-/// concurrency phase — both must measure the same workload).
+/// Thread counts swept by the `concurrent_reads` criterion bench.
 pub const CONCURRENCY_THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Distinct windows each reader thread cycles through in those
-/// harnesses.
+/// Distinct windows each reader thread cycles through in that bench.
 pub const CONCURRENCY_WINDOWS_PER_THREAD: usize = 8;
 
-/// Window side for the concurrent-read harnesses: small enough that
+/// Window side for the concurrent-read bench: small enough that
 /// every thread's entries fit the window cache, so the cached variant
 /// really measures the hit path.
 pub fn concurrency_window_side(bounds: &Rect) -> f64 {
     (bounds.width().min(bounds.height()) * 0.08).max(1.0)
 }
 
-/// Reader thread `t`'s `i`-th window for the concurrent-read harnesses:
+/// Reader thread `t`'s `i`-th window for the concurrent-read bench:
 /// deterministic, disjoint from other threads' sets, inside `bounds`.
 pub fn concurrency_window(bounds: &Rect, side: f64, t: usize, i: usize) -> Rect {
     let fx = ((t * 131 + i * 29) % 97) as f64 / 97.0;

@@ -13,7 +13,7 @@
 //! Connections are **persistent**: pipelined requests queue in the
 //! parser buffer and are answered in order. This matters because a
 //! cache-hit window query costs microseconds server-side — per-request
-//! TCP setup used to dominate it (see `BENCH_http.json`).
+//! TCP setup used to dominate it.
 
 use gvdb_core::GraphJson;
 use std::sync::Arc;

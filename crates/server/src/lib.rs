@@ -34,7 +34,7 @@
 //!   drain in order from the connection's buffer), closing only on
 //!   client request, error, idle timeout, or shutdown. This removes the
 //!   per-request TCP setup that used to dominate the µs-scale cache-hit
-//!   path (measured in `BENCH_http.json`).
+//!   path.
 //! * **Per-dataset isolation** — sessions, epochs and caches live in each
 //!   dataset's own `QueryManager`; a mutation to one dataset can never
 //!   invalidate another's windows (integration-tested in `tests/v1.rs`).
