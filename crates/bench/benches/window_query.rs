@@ -1,11 +1,11 @@
 //! The Fig. 3 microbenchmark: DB-side window query cost vs window size,
-//! plus the paged-vs-in-memory R-tree ablation (cost of going through the
-//! buffer pool).
+//! plus the cost of unflushed edits in the R-tree's overlay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gvdb_bench::{prepare, random_windows, Dataset};
 use gvdb_core::QueryManager;
-use gvdb_spatial::RTree;
+use gvdb_storage::{EdgeGeometry, EdgeRow};
+use rand::prelude::*;
 use std::hint::black_box;
 
 fn bench_window_sizes(c: &mut Criterion) {
@@ -37,58 +37,60 @@ fn bench_window_sizes(c: &mut Criterion) {
     std::fs::remove_file(&path).ok();
 }
 
-fn bench_paged_vs_inmemory(c: &mut Criterion) {
-    let mut group = c.benchmark_group("window_query_paged_vs_inmemory");
+/// What unflushed canvas edits cost a window: the R-tree's edit overlay
+/// is a flat list that every descent scans whole, so window time grows
+/// with the inserts made since the last flush (repacked away by it).
+fn bench_overlay_cost(c: &mut Criterion) {
+    let mut group = c.benchmark_group("window_query_overlay_cost");
     group.measurement_time(std::time::Duration::from_secs(4));
     group.warm_up_time(std::time::Duration::from_secs(1));
     let graph = Dataset::Patent.generate(10_000);
-    let (db, report, bounds, path) = prepare(&graph, "bench-paged");
+    let (mut db, _report, bounds, path) = prepare(&graph, "bench-overlay");
     let windows = random_windows(&bounds, 1500.0, 50, 5);
-
-    // In-memory R*-tree over the same layer-0 geometries.
-    let layer0 = &report.hierarchy.layers[0];
-    let entries: Vec<(gvdb_spatial::Rect, u64)> = layer0
-        .graph
-        .edges()
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let (x1, y1) = layer0.positions[e.source.index()];
-            let (x2, y2) = layer0.positions[e.target.index()];
-            (
-                gvdb_spatial::Rect::from_points(
-                    gvdb_spatial::Point::new(x1, y1),
-                    gvdb_spatial::Point::new(x2, y2),
-                ),
-                i as u64,
-            )
-        })
-        .collect();
-    let mem_tree = RTree::bulk_load(entries);
-
-    let table = db.layer(0).unwrap();
-    group.bench_function("paged_rtree_through_buffer_pool", |b| {
-        b.iter(|| {
-            let mut rows = 0usize;
-            for w in &windows {
-                rows += table.window(db.pool(), w).unwrap().len();
-            }
-            black_box(rows)
-        })
-    });
-    group.bench_function("inmemory_rstar", |b| {
-        b.iter(|| {
-            let mut rows = 0usize;
-            for w in &windows {
-                rows += mem_tree.window(w).count();
-            }
-            black_box(rows)
-        })
-    });
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut inserted = 0usize;
+    for pending in [0usize, 1_000, 10_000] {
+        // Short edges spread over the plane, like canvas edits.
+        while inserted < pending {
+            let x = bounds.min_x + rng.random::<f64>() * bounds.width();
+            let y = bounds.min_y + rng.random::<f64>() * bounds.height();
+            let id = 1_000_000 + 2 * inserted as u64;
+            let row = EdgeRow {
+                node1_id: id,
+                node1_label: "edit".into(),
+                geometry: EdgeGeometry {
+                    x1: x,
+                    y1: y,
+                    x2: x + (rng.random::<f64>() - 0.5) * 200.0,
+                    y2: y + (rng.random::<f64>() - 0.5) * 200.0,
+                    directed: true,
+                },
+                edge_label: "edit".into(),
+                node2_id: id + 1,
+                node2_label: "edit".into(),
+            };
+            db.insert_row(0, &row).unwrap();
+            inserted += 1;
+        }
+        let table = db.layer(0).unwrap();
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{pending}_unflushed_inserts")),
+            &windows,
+            |b, windows| {
+                b.iter(|| {
+                    let mut rows = 0usize;
+                    for w in windows {
+                        rows += table.window(db.pool(), w).unwrap().len();
+                    }
+                    black_box(rows)
+                })
+            },
+        );
+    }
     group.finish();
     drop(db);
     std::fs::remove_file(&path).ok();
 }
 
-criterion_group!(benches, bench_window_sizes, bench_paged_vs_inmemory);
+criterion_group!(benches, bench_window_sizes, bench_overlay_cost);
 criterion_main!(benches);

@@ -73,4 +73,4 @@ pub use service::{
     ApiOutcome, FrameBuffer, FrameSink, GraphService, WindowOutcome, DEFAULT_DATASET,
 };
 pub use session::{Filters, Session};
-pub use workspace::{SharedWorkspace, Workspace};
+pub use workspace::SharedWorkspace;

@@ -442,7 +442,7 @@ fn call_dataset(name: &str, qm: &QueryManager, request: &ApiRequest) -> ApiResul
         }),
         ApiRequest::InsertEdge { layer, edge, .. } => {
             let rid = qm
-                .insert_row(*layer, &edge_row(edge))
+                .insert_row(*layer, &edge_row(edge)?)
                 .map_err(storage_error)?;
             Ok(ApiOutcome::Mutated {
                 dataset: name.to_string(),
@@ -1035,9 +1035,20 @@ pub fn storage_error(e: StorageError) -> ApiError {
     }
 }
 
-/// The mutation DTO as an engine row.
-pub fn edge_row(edge: &EdgeDto) -> EdgeRow {
-    EdgeRow {
+/// The mutation DTO as an engine row. Endpoints must be finite: an
+/// infinite or NaN coordinate would be stored and served on every window
+/// over the row, so it is a [`gvdb_api::ErrorKind::BadRequest`] before
+/// any write.
+pub fn edge_row(edge: &EdgeDto) -> ApiResult<EdgeRow> {
+    if ![edge.x1, edge.y1, edge.x2, edge.y2]
+        .iter()
+        .all(|c| c.is_finite())
+    {
+        return Err(ApiError::bad_request(
+            "edge endpoints x1, y1, x2, y2 must be finite numbers",
+        ));
+    }
+    Ok(EdgeRow {
         node1_id: edge.node1_id,
         node1_label: edge.node1_label.as_str().into(),
         geometry: EdgeGeometry {
@@ -1050,7 +1061,7 @@ pub fn edge_row(edge: &EdgeDto) -> EdgeRow {
         edge_label: edge.edge_label.as_str().into(),
         node2_id: edge.node2_id,
         node2_label: edge.node2_label.as_str().into(),
-    }
+    })
 }
 
 /// A viewport DTO as an ordered [`Rect`]; inverted rectangles are a
@@ -1353,6 +1364,41 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_edge_is_bad_request_and_writes_nothing() {
+        let (qm, path) = manager("svcnonfinite");
+        let rows = || qm.db().layer(0).unwrap().row_count();
+        let before = rows();
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for field in 0..4 {
+                let mut xy = [1.0, 2.0, 3.0, 4.0];
+                xy[field] = bad;
+                let err = qm
+                    .call(&ApiRequest::InsertEdge {
+                        dataset: None,
+                        layer: 0,
+                        edge: EdgeDto {
+                            node1_id: 999_998,
+                            node1_label: "a".into(),
+                            node2_id: 999_999,
+                            node2_label: "b".into(),
+                            edge_label: "bad".into(),
+                            x1: xy[0],
+                            y1: xy[1],
+                            x2: xy[2],
+                            y2: xy[3],
+                            directed: false,
+                        },
+                    })
+                    .unwrap_err();
+                assert_eq!(err.kind, ErrorKind::BadRequest, "{bad} in field {field}");
+            }
+        }
+        assert_eq!(rows(), before, "no row written");
+        assert_eq!(qm.layer_epoch(0), 0, "epoch unchanged");
         std::fs::remove_file(&path).ok();
     }
 

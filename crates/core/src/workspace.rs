@@ -2,19 +2,15 @@
 //! will first select a dataset from a number of real-word datasets (e.g.,
 //! ACM, DBLP, DBpedia)").
 //!
-//! Two flavours:
+//! [`SharedWorkspace`] is the thread-safe container the server binds:
+//! datasets live behind `Arc<QueryManager>` in an `RwLock`ed map, so any
+//! number of worker threads resolve names concurrently while datasets can
+//! still be registered at runtime. It implements [`crate::GraphService`],
+//! giving every dataset its own session registry, epochs and cache
+//! isolation.
 //!
-//! * [`Workspace`] — the original `&mut`-based container for embedded,
-//!   single-threaded use (one owner, exclusive mutation).
-//! * [`SharedWorkspace`] — the thread-safe container the server binds:
-//!   datasets live behind `Arc<QueryManager>` in an `RwLock`ed map, so
-//!   any number of worker threads resolve names concurrently while
-//!   datasets can still be registered at runtime. It implements
-//!   [`crate::GraphService`], giving every dataset its own session
-//!   registry, epochs and cache isolation.
-//!
-//! Both reject duplicate names ([`gvdb_storage::StorageError::LayerExists`])
-//! and list the available names in their not-found errors, so a typo'd
+//! It rejects duplicate names ([`gvdb_storage::StorageError::LayerExists`])
+//! and lists the available names in its not-found errors, so a typo'd
 //! `dataset=` selector is self-explanatory.
 
 use crate::query::QueryManager;
@@ -34,83 +30,12 @@ fn available(names: &[String]) -> String {
     }
 }
 
-/// "dataset 'x' (available: a, b)" — shared by both flavours.
+/// "dataset 'x' (available: a, b)".
 fn not_found(name: &str, names: &[String]) -> StorageError {
     StorageError::LayerNotFound(format!(
         "dataset '{name}' (available: {})",
         available(names)
     ))
-}
-
-/// A named collection of preprocessed graph databases (single-owner).
-#[derive(Debug, Default)]
-pub struct Workspace {
-    datasets: BTreeMap<String, QueryManager>,
-}
-
-impl Workspace {
-    /// An empty workspace.
-    pub fn new() -> Self {
-        Workspace::default()
-    }
-
-    /// Register an already-open database under `name`. Replaces any
-    /// previous dataset with the same name (use [`Workspace::open`] for
-    /// duplicate-rejecting registration).
-    pub fn add(&mut self, name: impl Into<String>, db: GraphDb) {
-        self.datasets.insert(name.into(), QueryManager::new(db));
-    }
-
-    /// Open a database file and register it under `name`. A duplicate
-    /// name is rejected ([`StorageError::LayerExists`]) instead of
-    /// silently replacing the open dataset.
-    pub fn open(&mut self, name: impl Into<String>, path: &Path) -> Result<()> {
-        let name = name.into();
-        if self.datasets.contains_key(&name) {
-            return Err(StorageError::LayerExists(format!("dataset '{name}'")));
-        }
-        let db = GraphDb::open(path)?;
-        self.add(name, db);
-        Ok(())
-    }
-
-    /// Dataset names, sorted (what the Control panel's selector lists).
-    pub fn names(&self) -> Vec<&str> {
-        self.datasets.keys().map(String::as_str).collect()
-    }
-
-    /// Number of datasets.
-    pub fn len(&self) -> usize {
-        self.datasets.len()
-    }
-
-    /// Whether the workspace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.datasets.is_empty()
-    }
-
-    /// The query manager for `name`. The error of a missing dataset lists
-    /// what is available.
-    pub fn dataset(&self, name: &str) -> Result<&QueryManager> {
-        self.datasets
-            .get(name)
-            .ok_or_else(|| not_found(name, &self.datasets.keys().cloned().collect::<Vec<_>>()))
-    }
-
-    /// Mutable access (edit operations).
-    pub fn dataset_mut(&mut self, name: &str) -> Result<&mut QueryManager> {
-        if !self.datasets.contains_key(name) {
-            let names: Vec<String> = self.datasets.keys().cloned().collect();
-            return Err(not_found(name, &names));
-        }
-        Ok(self.datasets.get_mut(name).expect("checked above"))
-    }
-
-    /// Remove a dataset, returning its query manager (dropping it closes
-    /// nothing on disk — the file remains openable).
-    pub fn remove(&mut self, name: &str) -> Option<QueryManager> {
-        self.datasets.remove(name)
-    }
 }
 
 /// A thread-safe, shared multi-dataset workspace (see module docs): what
@@ -253,17 +178,17 @@ mod tests {
         let (rdf_db, _) = preprocess(&rdf, &rdf_path, &cfg).unwrap();
         let (cite_db, _) = preprocess(&cite, &cite_path, &cfg).unwrap();
 
-        let mut ws = Workspace::new();
-        ws.add("DBpedia-like", rdf_db);
-        ws.add("Patents", cite_db);
-        assert_eq!(ws.names(), vec!["DBpedia-like", "Patents"]);
+        let ws = SharedWorkspace::new();
+        ws.add("Patents", cite_db).unwrap();
+        ws.add("DBpedia-like", rdf_db).unwrap();
+        assert_eq!(ws.names(), vec!["DBpedia-like", "Patents"], "name order");
 
         // One session per dataset; both serve window queries independently.
         let everything = Rect::new(-1e12, -1e12, 1e12, 1e12);
         let s1 = Session::new(everything);
         let s2 = Session::new(everything);
-        let v1 = s1.view(ws.dataset("DBpedia-like").unwrap()).unwrap();
-        let v2 = s2.view(ws.dataset("Patents").unwrap()).unwrap();
+        let v1 = s1.view(&ws.dataset("DBpedia-like").unwrap()).unwrap();
+        let v2 = s2.view(&ws.dataset("Patents").unwrap()).unwrap();
         // Patent rows are citations (plus empty-labelled isolated-node rows).
         assert!(v2
             .rows
@@ -303,16 +228,10 @@ mod tests {
             let (mut db, _) = preprocess(&g, &path, &cfg).unwrap();
             db.flush().unwrap();
         }
-        let mut ws = Workspace::new();
+        let ws = SharedWorkspace::new();
         ws.open("patents", &path).unwrap();
         assert_eq!(ws.dataset("patents").unwrap().layer_count(), 5);
         assert!(ws.open("missing", &tmp("nonexistent")).is_err());
-        // Re-opening an already-registered name is a conflict, not a
-        // silent replacement.
-        assert!(matches!(
-            ws.open("patents", &path),
-            Err(StorageError::LayerExists(_))
-        ));
         assert_eq!(ws.len(), 1);
         std::fs::remove_file(&path).ok();
     }

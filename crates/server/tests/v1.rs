@@ -469,6 +469,25 @@ fn mutation_gate_and_flush_over_http() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A coordinate that parses to infinity (`1e999`) is refused with a typed
+/// 400 before anything is written.
+#[test]
+fn non_finite_edge_coordinate_is_a_400() {
+    let (qm, path) = rdf_manager("nonfinite");
+    let server = Server::start(Arc::new(qm), ServerConfig::default()).unwrap();
+    let body = r#"{"layer":0,"edge":{"node1_id":920001,"node1_label":"a","node2_id":920002,"node2_label":"b","edge_label":"inf","x1":1e999,"y1":0.0,"x2":1.0,"y2":1.0,"directed":false}}"#;
+    let mut client = Client::connect(server.addr());
+    let (h, body) = client.request("POST", "/v1/edge", Some(body));
+    assert!(h.contains("400 Bad Request"), "{h} {body}");
+    let ApiResponse::Error(e) = ApiResponse::from_json(&body).unwrap() else {
+        panic!("not a typed error: {body}");
+    };
+    assert_eq!(e.kind, gvdb_api::ErrorKind::BadRequest);
+    assert!(e.message.contains("finite"), "{}", e.message);
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Per-dataset read-only mode: a 403 with the Forbidden kind, no key
 /// involved.
 #[test]

@@ -71,11 +71,6 @@ impl Rect {
         }
     }
 
-    /// Degenerate rectangle covering a single point.
-    pub fn point(p: Point) -> Self {
-        Rect::from_points(p, p)
-    }
-
     /// A rectangle of `width` x `height` centered at `c` — how the client
     /// builds the focus window after a keyword-search hit (paper §II-B).
     pub fn centered(c: Point, width: f64, height: f64) -> Self {
@@ -103,12 +98,6 @@ impl Rect {
     #[inline]
     pub fn area(&self) -> f64 {
         self.width() * self.height()
-    }
-
-    /// Perimeter / 2 (the "margin" used by the R* split heuristic).
-    #[inline]
-    pub fn margin(&self) -> f64 {
-        self.width() + self.height()
     }
 
     /// Center point.
@@ -226,18 +215,6 @@ impl Rect {
         }
         strips
     }
-
-    /// How much `self`'s area grows to absorb `other`.
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Squared distance from the rectangle to a point (0 inside).
-    pub fn distance2_to_point(&self, p: &Point) -> f64 {
-        let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);
-        let dy = (self.min_y - p.y).max(0.0).max(p.y - self.max_y);
-        dx * dx + dy * dy
-    }
 }
 
 /// A line segment: the geometry of one graph edge on the plane.
@@ -336,7 +313,6 @@ mod tests {
         assert_eq!(r.width(), 4.0);
         assert_eq!(r.height(), 3.0);
         assert_eq!(r.area(), 12.0);
-        assert_eq!(r.margin(), 7.0);
         assert_eq!(r.center(), Point::new(2.0, 1.5));
     }
 
@@ -351,12 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn union_covers_both() {
         let a = Rect::new(0.0, 0.0, 1.0, 1.0);
         let b = Rect::new(2.0, 0.0, 3.0, 1.0);
         let u = a.union(&b);
         assert_eq!(u, Rect::new(0.0, 0.0, 3.0, 1.0));
-        assert_eq!(a.enlargement(&b), 2.0);
     }
 
     #[test]
@@ -429,13 +404,6 @@ mod tests {
     fn centered_window() {
         let w = Rect::centered(Point::new(10.0, 10.0), 4.0, 2.0);
         assert_eq!(w, Rect::new(8.0, 9.0, 12.0, 11.0));
-    }
-
-    #[test]
-    fn distance2_to_point() {
-        let r = Rect::new(0.0, 0.0, 1.0, 1.0);
-        assert_eq!(r.distance2_to_point(&Point::new(0.5, 0.5)), 0.0);
-        assert_eq!(r.distance2_to_point(&Point::new(4.0, 5.0)), 9.0 + 16.0);
     }
 
     #[test]

@@ -1,27 +1,26 @@
 //! # gvdb-spatial
 //!
-//! Geometry primitives and an in-memory R*-tree — the spatial indexing core
-//! of graphVizdb. Every online operation of the platform (window queries
-//! for interactive navigation, zoom, focus-on-node) becomes a rectangle
-//! intersection query against an R-tree of edge geometries (paper §II-A/B).
+//! Geometry primitives — the spatial core of graphVizdb. Every online
+//! operation of the platform (window queries for interactive navigation,
+//! zoom, focus-on-node) becomes a rectangle intersection query against an
+//! R-tree of edge geometries (paper §II-A/B).
 //!
-//! The tree is hand-rolled rather than pulled from a crate because spatial
-//! indexing *is* the paper's contribution; the disk-resident variant lives
-//! in `gvdb-storage::spatial_index` and reuses this crate's geometry and
-//! STR packing.
+//! The R-tree itself is the disk-resident, STR-packed
+//! `gvdb-storage::spatial_index::PagedRTree`; this crate supplies the
+//! rectangles and segments it indexes, the exact segment/window test its
+//! leaf scan runs, and the Morton codes that order the heap.
 //!
 //! ```
-//! use gvdb_spatial::{Point, Rect, RTree};
+//! use gvdb_spatial::{Point, Rect, Segment};
 //!
-//! let mut tree: RTree<u32> = RTree::new();
-//! tree.insert(Rect::from_points(Point::new(0.0, 0.0), Point::new(1.0, 1.0)), 7);
-//! let hits: Vec<_> = tree.window(&Rect::new(0.5, 0.5, 2.0, 2.0)).collect();
-//! assert_eq!(hits.len(), 1);
+//! let edge = Segment::new(Point::new(0.0, 2.0), Point::new(2.0, 0.0));
+//! // The box overlaps the corner window, the edge itself does not.
+//! let corner = Rect::new(0.0, 0.0, 0.5, 0.5);
+//! assert!(edge.bbox().intersects(&corner));
+//! assert!(!edge.intersects_rect(&corner));
 //! ```
 
 pub mod geom;
 pub mod morton;
-pub mod rtree;
 
 pub use geom::{Point, Rect, Segment};
-pub use rtree::RTree;

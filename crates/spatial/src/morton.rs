@@ -1,9 +1,9 @@
 //! Morton (Z-order) encoding of plane coordinates.
 //!
-//! Used for Hilbert-style packing alternatives in the bulk-load ablation
-//! and for cheap spatial sorting in tests. Coordinates are quantized to a
-//! 16-bit grid over a caller-provided bounding rectangle and interleaved
-//! into a 32-bit code.
+//! The bulk layer build sorts rows by the Morton code of their edge's
+//! center, so rows close on the plane share heap pages. Coordinates are
+//! quantized to a 16-bit grid over a caller-provided bounding rectangle
+//! and interleaved into a 32-bit code.
 
 use crate::geom::{Point, Rect};
 

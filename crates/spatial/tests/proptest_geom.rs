@@ -1,6 +1,6 @@
-//! Property-based tests for the R*-tree and geometry primitives.
+//! Property-based tests for the geometry primitives.
 
-use gvdb_spatial::{geom::segments_intersect, Point, RTree, Rect, Segment};
+use gvdb_spatial::{geom::segments_intersect, Point, Rect, Segment};
 use proptest::prelude::*;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -10,60 +10,6 @@ fn arb_rect() -> impl Strategy<Value = Rect> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn window_query_is_exact(
-        rects in prop::collection::vec(arb_rect(), 0..400),
-        window in arb_rect(),
-    ) {
-        let entries: Vec<(Rect, usize)> =
-            rects.into_iter().enumerate().map(|(i, r)| (r, i)).collect();
-        let tree = RTree::bulk_load(entries.clone());
-        tree.check_invariants();
-        let mut got: Vec<usize> = tree.window(&window).map(|(_, v)| *v).collect();
-        let mut want: Vec<usize> = entries
-            .iter()
-            .filter(|(r, _)| r.intersects(&window))
-            .map(|(_, v)| *v)
-            .collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn nearest_is_globally_nearest(
-        rects in prop::collection::vec(arb_rect(), 1..200),
-        qx in -100.0f64..1200.0,
-        qy in -100.0f64..1200.0,
-    ) {
-        let entries: Vec<(Rect, usize)> =
-            rects.into_iter().enumerate().map(|(i, r)| (r, i)).collect();
-        let tree = RTree::bulk_load(entries.clone());
-        let q = Point::new(qx, qy);
-        let first = tree.nearest(q, 1)[0];
-        let best = entries
-            .iter()
-            .map(|(r, _)| r.distance2_to_point(&q))
-            .fold(f64::INFINITY, f64::min);
-        prop_assert!((first.0.distance2_to_point(&q) - best).abs() < 1e-9);
-    }
-
-    #[test]
-    fn incremental_inserts_maintain_invariants(
-        rects in prop::collection::vec(arb_rect(), 1..300)
-    ) {
-        let mut tree = RTree::new();
-        for (i, r) in rects.iter().enumerate() {
-            tree.insert(*r, i);
-        }
-        prop_assert_eq!(tree.check_invariants(), rects.len());
-        // Bounds cover every entry.
-        let b = tree.bounds().unwrap();
-        for r in &rects {
-            prop_assert!(b.contains_rect(r));
-        }
-    }
 
     #[test]
     fn union_is_commutative_and_covering(a in arb_rect(), b in arb_rect()) {

@@ -9,9 +9,9 @@
 //! is what gives the platform its "extremely low memory requirements".
 //!
 //! Canvas edits (the paper's Edit panel) go to a small in-memory overlay:
-//! an incremental R*-tree of inserted segments plus a tombstone set of
-//! deleted row ids. The table layer folds the overlay back into a fresh
-//! packed tree on flush.
+//! a flat list of the segments inserted since the last pack, scanned in
+//! the same pass as the packed leaves, plus a tombstone set of deleted
+//! row ids. The table layer repacks the tree from the heap on flush.
 //!
 //! Leaves store each edge's **endpoints**, not its bounding box, so the
 //! leaf scan runs the exact [`Segment::intersects_rect`] test and a
@@ -39,7 +39,7 @@ use crate::buffer::BufferPool;
 use crate::compress::{self, RtreeLeafBuilder};
 use crate::error::{Result, StorageError};
 use crate::page::{PageId, PAGE_SIZE};
-use gvdb_spatial::{Point, RTree, Rect, Segment};
+use gvdb_spatial::{Point, Rect, Segment};
 use std::collections::HashSet;
 
 const TAG_LEAF: u16 = 1;
@@ -54,8 +54,8 @@ pub const FANOUT: usize = (PAGE_SIZE - HEADER) / ENTRY;
 pub struct PagedRTree {
     root: Option<PageId>,
     len: u64,
-    /// Segments inserted since the last pack, keyed by bounding box.
-    overlay: RTree<(u64, Segment)>,
+    /// Segments inserted since the last pack, one per live row id.
+    overlay: Vec<(u64, Segment)>,
     /// Row ids deleted since the last pack (tombstones).
     tombstones: HashSet<u64>,
 }
@@ -91,7 +91,7 @@ impl PagedRTree {
             return Ok(PagedRTree {
                 root: None,
                 len: 0,
-                overlay: RTree::new(),
+                overlay: Vec::new(),
                 tombstones: HashSet::new(),
             });
         }
@@ -159,7 +159,7 @@ impl PagedRTree {
         Ok(PagedRTree {
             root: Some(PageId(level[0].1)),
             len,
-            overlay: RTree::new(),
+            overlay: Vec::new(),
             tombstones: HashSet::new(),
         })
     }
@@ -173,7 +173,7 @@ impl PagedRTree {
                 Some(PageId(packed.root))
             },
             len: packed.len,
-            overlay: RTree::new(),
+            overlay: Vec::new(),
             tombstones: HashSet::new(),
         }
     }
@@ -198,13 +198,16 @@ impl PagedRTree {
 
     /// Insert the segment of a new row (goes to the overlay).
     pub fn insert(&mut self, seg: Segment, row: u64) {
-        self.overlay.insert(seg.bbox(), (row, seg));
+        self.overlay.push((row, seg));
     }
 
     /// Delete a row's segment. Rows inserted since the last pack leave the
-    /// overlay; rows in the packed pages get a tombstone.
-    pub fn remove(&mut self, seg: &Segment, row: u64) {
-        if !self.overlay.remove(&seg.bbox(), &(row, *seg)) {
+    /// overlay (live row ids are unique, so the id finds the entry); rows
+    /// in the packed pages get a tombstone.
+    pub fn remove(&mut self, row: u64) {
+        if let Some(i) = self.overlay.iter().position(|(r, _)| *r == row) {
+            self.overlay.swap_remove(i);
+        } else {
             self.tombstones.insert(row);
         }
     }
@@ -228,6 +231,11 @@ impl PagedRTree {
             return Ok(out);
         }
         let touches = |r: &Rect| windows.iter().any(|w| r.intersects(w));
+        let crosses = |seg: &Segment, bbox: &Rect| {
+            windows
+                .iter()
+                .any(|w| bbox.intersects(w) && seg.intersects_rect(w))
+        };
         let live = |row: &u64| !self.tombstones.contains(row);
         if let Some(root) = self.root {
             let mut stack = vec![root];
@@ -237,10 +245,7 @@ impl PagedRTree {
                         compress::scan_rtree_leaf(p, |x1, y1, x2, y2, row| {
                             let seg = Segment::new(Point::new(x1, y1), Point::new(x2, y2));
                             let bbox = seg.bbox();
-                            let crosses = windows
-                                .iter()
-                                .any(|w| bbox.intersects(w) && seg.intersects_rect(w));
-                            if crosses && live(&row) {
+                            if crosses(&seg, &bbox) && live(&row) {
                                 out.push(Hit {
                                     bbox,
                                     row,
@@ -291,15 +296,14 @@ impl PagedRTree {
                 })??;
             }
         }
-        for w in windows {
-            for (bbox, (row, seg)) in self.overlay.window(w) {
-                if seg.intersects_rect(w) {
-                    out.push(Hit {
-                        bbox: *bbox,
-                        row: *row,
-                        exact: true,
-                    });
-                }
+        for &(row, seg) in &self.overlay {
+            let bbox = seg.bbox();
+            if crosses(&seg, &bbox) {
+                out.push(Hit {
+                    bbox,
+                    row,
+                    exact: true,
+                });
             }
         }
         out.sort_unstable_by_key(|h| h.row);
@@ -329,18 +333,6 @@ impl PagedRTree {
         }
         self.len = 0;
         Ok(())
-    }
-
-    /// Drain the overlay/tombstones, returning inserted entries and the
-    /// tombstone set — the table layer uses this to rebuild the pack.
-    pub fn take_edits(&mut self) -> (Vec<(Segment, u64)>, HashSet<u64>) {
-        let inserted = self
-            .overlay
-            .iter()
-            .map(|(_, (row, seg))| (*seg, *row))
-            .collect();
-        self.overlay = RTree::new();
-        (inserted, std::mem::take(&mut self.tombstones))
     }
 
     fn write_compressed_leaf(pool: &BufferPool, builder: &RtreeLeafBuilder) -> Result<PageId> {
@@ -520,7 +512,7 @@ mod tests {
         // Insert a fresh anti-diagonal edge far away.
         tree.insert(seg(5000.0, 5010.0, 5010.0, 5000.0), 999);
         // Delete a packed row.
-        tree.remove(&entries[0].0, 0);
+        tree.remove(0);
         assert!(tree.is_dirty());
         let everything = Rect::new(-500.0, -500.0, 10_000.0, 10_000.0);
         let hits = tree.window(&pool, &everything).unwrap();
@@ -539,7 +531,7 @@ mod tests {
         let mut tree = PagedRTree::build(&pool, Vec::new()).unwrap();
         let s = seg(2.0, 1.0, 1.0, 2.0);
         tree.insert(s, 7);
-        tree.remove(&s, 7);
+        tree.remove(7);
         assert!(tree.tombstones.is_empty(), "no tombstone for overlay rows");
         let hits = tree
             .window(&pool, &Rect::new(0.0, 0.0, 10.0, 10.0))
@@ -621,20 +613,6 @@ mod tests {
             .window(&pool, &Rect::new(0.0, 0.0, 1.0, 1.0))
             .unwrap()
             .is_empty());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn take_edits_drains_overlay() {
-        let (pool, path) = pool("drain");
-        let entries = random_entries(10, 7);
-        let mut tree = PagedRTree::build(&pool, entries.clone()).unwrap();
-        tree.insert(seg(0.0, 1.0, 1.0, 0.0), 100);
-        tree.remove(&entries[3].0, 3);
-        let (ins, tombs) = tree.take_edits();
-        assert_eq!(ins, vec![(seg(0.0, 1.0, 1.0, 0.0), 100)]);
-        assert!(tombs.contains(&3));
-        assert!(!tree.is_dirty());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -389,7 +389,7 @@ impl LayerTable {
         self.by_node1.remove(pool, row.node1_id, rid64)?;
         self.by_node2.remove(pool, row.node2_id, rid64)?;
         self.edge_trie.remove(&row.edge_label, rid64);
-        self.rtree.remove(&row.geometry.segment(), rid64);
+        self.rtree.remove(rid64);
         self.rows -= 1;
         self.tries_dirty = true;
         Ok(())
@@ -402,7 +402,6 @@ impl LayerTable {
     ///   live heap.
     pub fn save(&mut self, pool: &BufferPool) -> Result<LayerMeta> {
         if self.rtree.is_dirty() {
-            let _ = self.rtree.take_edits();
             self.rtree.free_packed(pool)?;
             let geoms = self
                 .scan(pool)?

@@ -1,8 +1,10 @@
 //! Property-based tests for the storage engine: B+-tree vs BTreeMap model,
-//! catalog codec, layer-table windows vs an exact heap scan.
+//! catalog codec, layer-table windows vs an exact heap scan, the R-tree's
+//! edit overlay vs a live model.
 
-use gvdb_spatial::Rect;
+use gvdb_spatial::{Point, Rect, Segment};
 use gvdb_storage::btree::BTree;
+use gvdb_storage::spatial_index::PagedRTree;
 use gvdb_storage::table::LayerMeta;
 use gvdb_storage::{BufferPool, EdgeGeometry, EdgeRow, LayerTable, Pager, RowId};
 use proptest::prelude::*;
@@ -152,6 +154,91 @@ proptest! {
         check_exact(&table, &pool, &windows);
         std::fs::remove_file(&path).ok();
     }
+
+    /// The edit overlay against a live model. A packed tree, then
+    /// interleaved inserts of new rows, deletes of overlay rows and
+    /// deletes of packed rows; after every step `windows()` returns
+    /// exactly the model rows whose box and segment cross some window,
+    /// ascending and unique. Freeing the pages and packing the model again
+    /// answers the same, with nothing left dirty.
+    #[test]
+    fn paged_rtree_overlay_edits_match_model(
+        base in prop::collection::vec(arb_edge(), 0..120),
+        ops in prop::collection::vec((0u8..3, arb_edge(), any::<usize>()), 1..40),
+        windows in prop::collection::vec(arb_window(), 1..9),
+        seed in 0u64..1_000_000,
+    ) {
+        let (pool, path) = temp_pool(seed.wrapping_add(3), 16);
+        // (row id, segment, packed?)
+        let mut model: Vec<(u64, Segment, bool)> = base
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (i as u64, segment(e), true))
+            .collect();
+        let packed = model.iter().map(|&(row, seg, _)| (seg, row)).collect();
+        let mut tree = PagedRTree::build(&pool, packed).unwrap();
+        check_tree(&tree, &pool, &model, &windows);
+        let mut next_row = model.len() as u64;
+        for (kind, e, pick) in &ops {
+            let victims: Vec<usize> = (0..model.len())
+                .filter(|&i| model[i].2 == (*kind == 2))
+                .collect();
+            if *kind == 0 || victims.is_empty() {
+                tree.insert(segment(e), next_row);
+                model.push((next_row, segment(e), false));
+                next_row += 1;
+            } else {
+                let (row, _, _) = model.swap_remove(victims[pick % victims.len()]);
+                tree.remove(row);
+            }
+            check_tree(&tree, &pool, &model, &windows);
+        }
+
+        tree.free_packed(&pool).unwrap();
+        let live = model.iter().map(|&(row, seg, _)| (seg, row)).collect();
+        let tree = PagedRTree::build(&pool, live).unwrap();
+        prop_assert!(!tree.is_dirty());
+        check_tree(&tree, &pool, &model, &windows);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+fn segment(e: &[f64; 4]) -> Segment {
+    Segment::new(Point::new(e[0], e[1]), Point::new(e[2], e[3]))
+}
+
+/// A window over the `arb_edge` plane, from a point to a wide band.
+fn arb_window() -> impl Strategy<Value = Rect> {
+    (
+        -20.0f64..620.0,
+        -20.0f64..620.0,
+        0.0f64..200.0,
+        0.0f64..200.0,
+    )
+        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+}
+
+/// `PagedRTree::windows` equals a naive scan of the live model.
+fn check_tree(
+    tree: &PagedRTree,
+    pool: &BufferPool,
+    model: &[(u64, Segment, bool)],
+    windows: &[Rect],
+) {
+    let mut want: Vec<(u64, Rect)> = model
+        .iter()
+        .filter(|(_, seg, _)| {
+            windows
+                .iter()
+                .any(|w| seg.bbox().intersects(w) && seg.intersects_rect(w))
+        })
+        .map(|&(row, seg, _)| (row, seg.bbox()))
+        .collect();
+    want.sort_unstable_by_key(|&(row, _)| row);
+    let hits = tree.windows(pool, windows).unwrap();
+    prop_assert!(hits.iter().all(|h| h.exact));
+    let got: Vec<(u64, Rect)> = hits.iter().map(|h| (h.row, h.bbox)).collect();
+    prop_assert_eq!(got, want, "windows {:?}", windows);
 }
 
 /// An edge `(x1, y1, x2, y2)` of one of five shapes: diagonal,

@@ -20,7 +20,7 @@
 //! | [`graph`] | graph substrate: CSR graphs, generators, IO |
 //! | [`partition`] | multilevel k-way partitioner (Metis substitute) |
 //! | [`layout`] | layout algorithms (Graphviz substitute) |
-//! | [`spatial`] | geometry + in-memory R*-tree |
+//! | [`spatial`] | geometry: rectangles, segments, exact window test |
 //! | [`storage`] | paged storage engine: heap files, B+-trees, tries, packed R-tree (MySQL substitute) |
 //! | [`abstraction`] | degree/PageRank/HITS filtering + cluster summarization |
 //! | [`core`] | preprocessing pipeline, query manager, sessions, client model |

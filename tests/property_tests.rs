@@ -3,72 +3,12 @@
 
 use graphvizdb::core::build_graph_json;
 use graphvizdb::prelude::*;
-use graphvizdb::spatial::RTree;
 use graphvizdb::storage::heap::RowId;
 use graphvizdb::storage::{PageId, PAGE_SIZE};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// R-tree window queries agree with a linear scan for any entry set
-    /// and any window.
-    #[test]
-    fn rtree_window_equals_linear_scan(
-        entries in prop::collection::vec(
-            (0.0f64..1000.0, 0.0f64..1000.0, 0.0f64..50.0, 0.0f64..50.0),
-            0..300
-        ),
-        wx in -100.0f64..1100.0,
-        wy in -100.0f64..1100.0,
-        ww in 0.0f64..500.0,
-        wh in 0.0f64..500.0,
-    ) {
-        let rects: Vec<(Rect, usize)> = entries
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y, w, h))| (Rect::new(x, y, x + w, y + h), i))
-            .collect();
-        let window = Rect::new(wx, wy, wx + ww, wy + wh);
-        let tree = RTree::bulk_load(rects.clone());
-        let mut got: Vec<usize> = tree.window(&window).map(|(_, v)| *v).collect();
-        let mut expected: Vec<usize> = rects
-            .iter()
-            .filter(|(r, _)| r.intersects(&window))
-            .map(|(_, v)| *v)
-            .collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Incremental insert + remove keeps the R-tree consistent with a model.
-    #[test]
-    fn rtree_insert_remove_model(
-        ops in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0, prop::bool::ANY), 1..150)
-    ) {
-        let mut tree: RTree<usize> = RTree::new();
-        let mut model: Vec<(Rect, usize)> = Vec::new();
-        for (i, &(x, y, is_insert)) in ops.iter().enumerate() {
-            if is_insert || model.is_empty() {
-                let r = Rect::new(x, y, x + 1.0, y + 1.0);
-                tree.insert(r, i);
-                model.push((r, i));
-            } else {
-                let idx = (i * 7919) % model.len();
-                let (r, v) = model.swap_remove(idx);
-                prop_assert!(tree.remove(&r, &v));
-            }
-        }
-        prop_assert_eq!(tree.len(), model.len());
-        tree.check_invariants();
-        let everything = Rect::new(-1.0, -1.0, 102.0, 102.0);
-        let mut got: Vec<usize> = tree.window(&everything).map(|(_, v)| *v).collect();
-        let mut expected: Vec<usize> = model.iter().map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-    }
 
     /// Partitioning always covers every node with a valid part and keeps
     /// balance within tolerance for connected-ish graphs.
