@@ -19,9 +19,9 @@ use serde::{Deserialize, Serialize};
 /// What a serving process is, replication-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplRole {
-    /// Accepts writes, ships checkpoints.
+    /// Accepts writes; serves checkpoints for followers to pull.
     Leader,
-    /// Applies shipped checkpoints, serves reads.
+    /// Pulls and applies the leader's checkpoints, serves reads.
     Follower,
     /// Holds no data; fans reads out over a shard map.
     Router,
@@ -54,17 +54,12 @@ impl ReplRole {
 pub struct ReplStatsDto {
     /// This process's role.
     pub role: ReplRole,
-    /// Leader: newest checkpoint seq acknowledged by any peer (0 until a
-    /// ship succeeds). Follower/router: 0.
-    pub last_shipped_seq: u64,
     /// Follower: newest checkpoint seq applied locally. Leader: its own
-    /// committed checkpoint seq.
+    /// committed checkpoint seq. Router: 0.
     pub last_applied_seq: u64,
     /// Per-layer replication lag (leader epoch − local epoch), empty when
     /// unknown (e.g. the follower has not yet seen a leader status).
     pub lag: Vec<u64>,
-    /// Checkpoints shipped (leader: successful pushes; follower: 0).
-    pub shipped: u64,
     /// Checkpoints applied (follower) — each apply bumps the dataset's
     /// epochs to the leader's flush-time values.
     pub applied: u64,
@@ -78,13 +73,11 @@ impl ReplStatsDto {
     pub fn to_value(&self) -> Json {
         Json::Obj(vec![
             ("role".into(), Json::Str(self.role.as_str().into())),
-            ("last_shipped_seq".into(), Json::uint(self.last_shipped_seq)),
             ("last_applied_seq".into(), Json::uint(self.last_applied_seq)),
             (
                 "lag".into(),
                 Json::Arr(self.lag.iter().map(|&l| Json::uint(l)).collect()),
             ),
-            ("shipped".into(), Json::uint(self.shipped)),
             ("applied".into(), Json::uint(self.applied)),
             ("resyncs".into(), Json::uint(self.resyncs)),
         ])
@@ -100,14 +93,12 @@ impl ReplStatsDto {
                 .and_then(Json::as_str)
                 .and_then(ReplRole::parse)
                 .unwrap_or(ReplRole::Leader),
-            last_shipped_seq: get("last_shipped_seq"),
             last_applied_seq: get("last_applied_seq"),
             lag: v
                 .get("lag")
                 .and_then(Json::as_arr)
                 .map(|a| a.iter().filter_map(Json::as_u64).collect())
                 .unwrap_or_default(),
-            shipped: get("shipped"),
             applied: get("applied"),
             resyncs: get("resyncs"),
         }
@@ -470,10 +461,8 @@ mod tests {
     fn stats_roundtrip_is_lenient() {
         let dto = ReplStatsDto {
             role: ReplRole::Follower,
-            last_shipped_seq: 0,
             last_applied_seq: 4,
             lag: vec![1, 0],
-            shipped: 0,
             applied: 4,
             resyncs: 1,
         };

@@ -355,10 +355,8 @@ fn every_response_variant_roundtrips() {
         shards_policy: "min(16, max(2, 2*cpus))".into(),
         replication: Some(gvdb_api::repl::ReplStatsDto {
             role: gvdb_api::repl::ReplRole::Follower,
-            last_shipped_seq: 0,
             last_applied_seq: 12,
             lag: vec![1, 0, 0],
-            shipped: 0,
             applied: 12,
             resyncs: 1,
         }),

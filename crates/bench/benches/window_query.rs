@@ -2,7 +2,7 @@
 //! plus the cost of unflushed edits in the R-tree's overlay.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gvdb_bench::{prepare, random_windows, Dataset};
+use gvdb_bench::{prepare, random_windows, uncached_cache_config, Dataset};
 use gvdb_core::QueryManager;
 use gvdb_storage::{EdgeGeometry, EdgeRow};
 use rand::prelude::*;
@@ -16,7 +16,9 @@ fn bench_window_sizes(c: &mut Criterion) {
     // Small-scale dataset so the bench harness itself stays fast.
     let graph = Dataset::Patent.generate(10_000);
     let (db, _report, bounds, path) = prepare(&graph, "bench-window");
-    let qm = QueryManager::new(db);
+    // Uncached: every iteration re-runs the R-tree descent and heap
+    // fetch instead of replaying the previous iteration's cache hits.
+    let qm = QueryManager::with_cache_config(db, uncached_cache_config());
     for side in [200.0f64, 1500.0, 3000.0] {
         let windows = random_windows(&bounds, side, 50, 3);
         group.bench_with_input(

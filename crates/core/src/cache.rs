@@ -10,13 +10,10 @@
 //!
 //! Design:
 //!
-//! * **Key** — `(layer, quantized window)`. Coordinates are `f64`s, which
-//!   neither hash nor compare for equality reliably, so the key quantizes
-//!   each coordinate to a fixed grid ([`CacheConfig::quantum`], default
-//!   10⁻³ plane units). The *exact* window is stored alongside the entry
-//!   and compared bit-for-bit on lookup, so two distinct windows that
-//!   collide on the quantized key can never serve each other's rows —
-//!   quantization only buckets, it never changes results.
+//! * **Key** — `(layer, exact window bits)`. Coordinates are `f64`s,
+//!   which do not hash, so the key holds their bit patterns: a lookup
+//!   hits only the bit-identical window, and two distinct windows, however
+//!   close, are cached and served separately.
 //! * **Sharding** — the key hash picks one of [`CacheConfig::shards`]
 //!   independently locked shards, so concurrent sessions rarely contend
 //!   on the same mutex (the query path itself is `&self` and fully
@@ -59,7 +56,7 @@ use std::sync::{Arc, Mutex};
 
 use gvdb_spatial::Rect;
 
-/// Cache sizing and keying parameters.
+/// Cache sizing parameters.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Maximum cached window results across all shards.
@@ -72,8 +69,6 @@ pub struct CacheConfig {
     pub max_bytes: usize,
     /// Number of independently locked shards.
     pub shards: usize,
-    /// Quantization grid (plane units) for bucketing window coordinates.
-    pub quantum: f64,
     /// Minimum fraction of a requested window an overlapping cached
     /// window must cover before the delta path engages (default
     /// [`crate::query::MIN_DELTA_OVERLAP`]). Set above `1.0` to disable
@@ -90,7 +85,6 @@ impl Default for CacheConfig {
             // Same shards-vs-cores policy as the buffer pool, so the two
             // stripe counts always move together.
             shards: gvdb_storage::default_shards(),
-            quantum: 1e-3,
             min_delta_overlap: crate::query::MIN_DELTA_OVERLAP,
         }
     }
@@ -202,17 +196,13 @@ impl CachedWindow {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct CacheKey {
     layer: usize,
-    qx0: i64,
-    qy0: i64,
-    qx1: i64,
-    qy1: i64,
+    bits: [u64; 4],
 }
 
 #[derive(Debug)]
 struct Entry {
-    /// The exact window this entry answers. Compared bit-for-bit on
-    /// lookup (collision-proof), and intersected with incoming windows by
-    /// the overlap scan of the delta path.
+    /// The exact window this entry answers, intersected with incoming
+    /// windows by the overlap scan of the delta path.
     rect: Rect,
     /// The layer's edit epoch when this entry's rows were read. An entry
     /// is only served while its layer is still at this epoch.
@@ -249,7 +239,6 @@ pub struct WindowCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
     per_shard_bytes: usize,
-    quantum: f64,
     min_delta_overlap: f64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -266,11 +255,6 @@ impl WindowCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             per_shard_capacity: capacity.div_ceil(shards),
             per_shard_bytes: config.max_bytes.max(1).div_ceil(shards),
-            quantum: if config.quantum > 0.0 {
-                config.quantum
-            } else {
-                1e-3
-            },
             min_delta_overlap: config.min_delta_overlap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -278,25 +262,15 @@ impl WindowCache {
         }
     }
 
-    fn key(&self, layer: usize, window: &Rect) -> CacheKey {
-        let q = |v: f64| {
-            let scaled = v / self.quantum;
-            // Saturate instead of overflowing for absurd windows (±1e12
-            // "whole plane" probes are routine in tests).
-            if scaled >= i64::MAX as f64 {
-                i64::MAX
-            } else if scaled <= i64::MIN as f64 {
-                i64::MIN
-            } else {
-                scaled.round() as i64
-            }
-        };
+    fn key(layer: usize, window: &Rect) -> CacheKey {
         CacheKey {
             layer,
-            qx0: q(window.min_x),
-            qy0: q(window.min_y),
-            qx1: q(window.max_x),
-            qy1: q(window.max_y),
+            bits: [
+                window.min_x.to_bits(),
+                window.min_y.to_bits(),
+                window.max_x.to_bits(),
+                window.max_y.to_bits(),
+            ],
         }
     }
 
@@ -304,15 +278,6 @@ impl WindowCache {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
-    }
-
-    fn exact_bits(window: &Rect) -> [u64; 4] {
-        [
-            window.min_x.to_bits(),
-            window.min_y.to_bits(),
-            window.max_x.to_bits(),
-            window.max_y.to_bits(),
-        ]
     }
 
     /// Look up `(layer, window)` at the layer's current edit `epoch`;
@@ -337,27 +302,22 @@ impl WindowCache {
     /// whose recorded epoch differs from `epoch` are pruned, never
     /// returned.
     pub fn peek(&self, layer: usize, window: &Rect, epoch: u64) -> Option<CachedWindow> {
-        let key = self.key(layer, window);
-        let exact = Self::exact_bits(window);
+        let key = Self::key(layer, window);
         let mut shard = self
             .shard_for(&key)
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         shard.clock += 1;
         let tick = shard.clock;
-        if let Some(entry) = shard.map.get_mut(&key) {
-            if Self::exact_bits(&entry.rect) == exact {
-                if entry.epoch != epoch {
-                    if let Some(stale) = shard.map.remove(&key) {
-                        shard.bytes -= stale.bytes;
-                    }
-                    return None;
-                }
-                entry.tick = tick;
-                return Some(entry.value.clone());
+        let entry = shard.map.get_mut(&key)?;
+        if entry.epoch != epoch {
+            if let Some(stale) = shard.map.remove(&key) {
+                shard.bytes -= stale.bytes;
             }
+            return None;
         }
-        None
+        entry.tick = tick;
+        Some(entry.value.clone())
     }
 
     /// Best *overlapping* cached window on `layer`: the entry whose
@@ -369,7 +329,7 @@ impl WindowCache {
     /// pan that misses the exact-match map almost always overlaps the
     /// previous viewport's entry, and reusing it turns a full R-tree +
     /// heap query into a query over up to four thin strips. The scan
-    /// walks every shard (entries are hashed by quantized rect, so
+    /// walks every shard (entries are hashed by exact rect, so
     /// overlap can't be looked up directly), which at the cache's few
     /// hundred entries is nanoseconds next to a window query. Counts a
     /// partial hit and refreshes the chosen entry's LRU position; the
@@ -417,14 +377,13 @@ impl WindowCache {
     /// `epoch`, evicting least-recently-used entries while the shard is
     /// over its entry or byte budget. A result that alone exceeds the
     /// shard's byte budget is not cached at all — caching it would evict
-    /// everything else for one query that will rarely repeat. A
-    /// quantized-key collision overwrites (newest exact window wins).
+    /// everything else for one query that will rarely repeat.
     pub fn insert(&self, layer: usize, window: &Rect, epoch: u64, value: CachedWindow) {
         let bytes = value.approx_bytes();
         if bytes > self.per_shard_bytes {
             return;
         }
-        let key = self.key(layer, window);
+        let key = Self::key(layer, window);
         let mut shard = self
             .shard_for(&key)
             .lock()
@@ -600,21 +559,17 @@ mod tests {
     }
 
     #[test]
-    fn quantized_collision_never_serves_wrong_window() {
-        // Two windows within one quantum of each other share a bucket but
-        // must not share results.
-        let cache = WindowCache::new(CacheConfig {
-            quantum: 1.0,
-            ..CacheConfig::default()
-        });
+    fn nearby_windows_are_cached_separately() {
+        // Two windows 0.1 apart are distinct keys: both stay cached and
+        // each serves its own rows.
+        let cache = WindowCache::default();
         let a = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let b = Rect::new(0.1, 0.1, 10.1, 10.1); // same quantized key
+        let b = Rect::new(0.1, 0.1, 10.1, 10.1);
         cache.insert(0, &a, 0, cached(5));
-        assert!(
-            cache.get(0, &b, 0).is_none(),
-            "exact-window check must reject"
-        );
-        assert!(cache.get(0, &a, 0).is_some());
+        cache.insert(0, &b, 0, cached(7));
+        assert_eq!(cache.stats().entries, 2);
+        assert_eq!(cache.get(0, &a, 0).expect("a cached").rows.len(), 5);
+        assert_eq!(cache.get(0, &b, 0).expect("b cached").rows.len(), 7);
     }
 
     #[test]
@@ -716,7 +671,6 @@ mod tests {
             capacity: 1_000,
             max_bytes: one_entry_bytes * 3, // one shard, fits ~3 entries
             shards: 1,
-            quantum: 1e-3,
             ..CacheConfig::default()
         });
         let w = |i: usize| Rect::new(i as f64, 0.0, i as f64 + 1.0, 1.0);

@@ -9,9 +9,9 @@
 //! Alongside the serialized text, every [`GraphJson`] carries a **span
 //! index**: the byte range of each node and edge object inside `text`,
 //! keyed by its id. The index is what makes the delta-pan path's
-//! [`GraphJson::retain`] / [`GraphJson::merge`] pure splices — surviving
-//! fragments are `memcpy`d by range, with no re-escaping, no number
-//! re-formatting, and no scanning of the payload.
+//! [`GraphJson::splice`] a pure splice — surviving fragments are
+//! `memcpy`d by range, with no re-escaping, no number re-formatting, and
+//! no scanning of the payload.
 
 use gvdb_storage::{EdgeRow, RowId};
 use std::collections::HashSet;
@@ -20,10 +20,6 @@ use std::collections::HashSet;
 const NODES_PREFIX: &str = "{\"nodes\":[";
 const EDGES_SEP: &str = "],\"edges\":[";
 const SUFFIX: &str = "]}";
-
-/// The empty payload — [`GraphJson::retain`] splices against it.
-static EMPTY_JSON: std::sync::LazyLock<GraphJson> =
-    std::sync::LazyLock::new(|| build_graph_json(&[]));
 
 /// Byte range of one serialized object (a node or an edge) in
 /// [`GraphJson::text`], keyed by the object's id (node id / packed row
@@ -55,13 +51,12 @@ pub struct GraphJson {
     pub(crate) node_spans: Vec<Span>,
     /// Span of each edge object in `text`, ascending by edge (row) id —
     /// every query path emits rows in ascending [`RowId`] order, which is
-    /// what lets [`GraphJson::merge`] two-way merge without sorting.
+    /// what lets [`GraphJson::splice`] two-way merge without sorting.
     pub(crate) edge_spans: Vec<Span>,
     /// Whether node emission order is the canonical first-seen-in-row
     /// order of a fresh build ([`build_graph_json`] /
-    /// [`GraphJsonBuilder`]). Spliced payloads ([`GraphJson::retain`],
-    /// [`GraphJson::merge`]) keep surviving nodes in their *original*
-    /// positions, so their order is not reproducible from the rows alone
+    /// [`GraphJsonBuilder`]). Spliced payloads ([`GraphJson::splice`])
+    /// keep surviving nodes in their *original* positions, so their order is not reproducible from the rows alone
     /// — the packed frame encoder (which rebuilds node order from rows
     /// on the client) only engages when this is `true`.
     pub canonical: bool,
@@ -293,55 +288,28 @@ impl GraphJson {
             + (self.node_spans.len() + self.edge_spans.len()) * std::mem::size_of::<Span>()
     }
 
-    /// Incremental update, removal half: a copy of this payload with the
-    /// edges in `drop_edges` (packed row ids) and the nodes in
-    /// `drop_nodes` (node ids) removed; everything else is retained in
-    /// its original order. Both lists must be sorted ascending — the
-    /// delta path produces them that way, and sortedness is what keeps
-    /// this O(payload) with a memcpy-sized constant: edges stream
-    /// through a two-pointer walk (the edge index is ascending too), and
-    /// each node span does a binary search of the (small) drop list. No
-    /// label re-escaping, number re-formatting, hashing, or payload
-    /// scanning happens for surviving objects.
+    /// The incremental payload update the delta query path runs once per
+    /// pan: a copy of this payload with the edges in `drop_edges` (packed
+    /// row ids) and the nodes in `drop_nodes` (node ids) removed, and the
+    /// fragments of `add` spliced in — every edge of `add`, and the nodes
+    /// of `add` whose ids are in `new_nodes`. One pass, one output
+    /// allocation: every surviving fragment's bytes move exactly once,
+    /// copied verbatim by indexed range, with no label re-escaping,
+    /// number re-formatting, hashing or payload scanning.
     ///
-    /// # Panics
-    /// Debug builds assert the drop lists are sorted.
-    pub fn retain(&self, drop_edges: &[u64], drop_nodes: &[u64]) -> GraphJson {
-        self.splice(drop_edges, drop_nodes, &EMPTY_JSON, &[])
-    }
-
-    /// Incremental update, addition half: splice `add` into this payload.
-    ///
-    /// Edge fragments of both payloads two-way merge in ascending edge
-    /// (row) id — both span indexes already are ascending — so the result
-    /// lists edges exactly as a cold build over the merged row set would.
-    /// Nodes of `add` whose id already appears here are dropped (`self`
-    /// wins); the survivors append after `self`'s nodes. All fragments
-    /// are copied verbatim by indexed range.
-    pub fn merge(&self, add: &GraphJson) -> GraphJson {
-        let mut have: Vec<u64> = self.node_spans.iter().map(|s| s.id).collect();
-        have.sort_unstable();
-        let mut new_nodes: Vec<u64> = add
-            .node_spans
-            .iter()
-            .map(|s| s.id)
-            .filter(|id| have.binary_search(id).is_err())
-            .collect();
-        new_nodes.sort_unstable();
-        self.splice(&[], &[], add, &new_nodes)
-    }
-
-    /// The fused incremental payload update — what the delta query path
-    /// runs once per pan. Semantically `self.retain(drop_edges,
-    /// drop_nodes).merge(add)` restricted to `add` nodes in `new_nodes`,
-    /// but in a single pass with a single output allocation: every
-    /// surviving fragment's bytes move exactly once.
+    /// Surviving nodes keep their original order and the new ones append
+    /// after them. Edge fragments of both payloads two-way merge in
+    /// ascending edge (row) id — both span indexes already are ascending
+    /// — so the result lists edges exactly as a cold build over the
+    /// merged row set would.
     ///
     /// All four id lists must be sorted ascending; `add`'s edge ids must
     /// be disjoint from the retained ones (the delta path guarantees
     /// both — they come off sorted row ids and the node-reference
-    /// update). [`GraphJson::retain`] and [`GraphJson::merge`] are thin
-    /// wrappers over this.
+    /// update).
+    ///
+    /// # Panics
+    /// Debug builds assert the id lists are sorted.
     pub fn splice(
         &self,
         drop_edges: &[u64],
@@ -773,7 +741,7 @@ mod tests {
         // Drop the outer edges: nodes 2 and 3 survive, 1 and 4 drop.
         let mut drop_edges: Vec<u64> = [rows[0].0.to_u64(), rows[2].0.to_u64()].into();
         drop_edges.sort_unstable();
-        let kept = json.retain(&drop_edges, &[1, 4]);
+        let kept = json.splice(&drop_edges, &[1, 4], &build_graph_json(&[]), &[]);
         assert_eq!((kept.node_count, kept.edge_count), (2, 1));
         let direct = build_graph_json(&rows[1..2]);
         assert_eq!(kept.text, direct.text, "splice must equal a cold build");
@@ -784,12 +752,13 @@ mod tests {
     fn retain_nothing_dropped_is_identity() {
         let rows = vec![row(1, 2, "x"), row(2, 3, "y")];
         let json = build_graph_json(&rows);
-        let kept = json.retain(&[], &[]);
+        let none = build_graph_json(&[]);
+        let kept = json.splice(&[], &[], &none, &[]);
         assert_eq!(kept.text, json.text);
         check_spans(&kept);
         let mut all_edges: Vec<u64> = rows.iter().map(|(rid, _)| rid.to_u64()).collect();
         all_edges.sort_unstable();
-        let empty = json.retain(&all_edges, &[1, 2, 3]);
+        let empty = json.splice(&all_edges, &[1, 2, 3], &none, &[]);
         assert_eq!(empty.text, "{\"nodes\":[],\"edges\":[]}");
         check_spans(&empty);
     }
@@ -797,10 +766,11 @@ mod tests {
     #[test]
     fn merge_dedups_nodes_and_sorts_edges_by_id() {
         // Rows 1-2 and 2-3 share node 2; edge ids interleave (slots 1, 3
-        // vs 2) so the merge must produce ascending edge ids.
+        // vs 2) so the merge must produce ascending edge ids. Every node
+        // of `b` is already in `a`, so none is new.
         let a = build_graph_json(&[row(1, 2, "a"), row(3, 4, "c")]);
         let b = build_graph_json(&[row(2, 3, "b")]);
-        let merged = a.merge(&b);
+        let merged = a.splice(&[], &[], &b, &[]);
         assert_eq!(merged.edge_count, 3);
         assert_eq!(merged.node_count, 4, "node 2/3 deduplicated");
         check_spans(&merged);
@@ -815,9 +785,9 @@ mod tests {
     fn merge_with_empty_is_identity() {
         let a = build_graph_json(&[row(1, 2, "a")]);
         let empty = build_graph_json(&[]);
-        assert_eq!(a.merge(&empty).text, a.text);
-        assert_eq!(empty.merge(&a).text, a.text);
-        check_spans(&a.merge(&empty));
+        assert_eq!(a.splice(&[], &[], &empty, &[]).text, a.text);
+        assert_eq!(empty.splice(&[], &[], &a, &[1, 2]).text, a.text);
+        check_spans(&a.splice(&[], &[], &empty, &[]));
     }
 
     #[test]
@@ -846,7 +816,7 @@ mod tests {
         let json = build_graph_json(&rows);
         let mut drop_edges = vec![rows[2].0.to_u64(), rows[3].0.to_u64()];
         drop_edges.sort_unstable();
-        let kept = json.retain(&drop_edges, &[3]);
+        let kept = json.splice(&drop_edges, &[3], &build_graph_json(&[]), &[]);
         let kept_rows = vec![
             rows[0].clone(),
             rows[1].clone(),
@@ -912,8 +882,10 @@ mod tests {
         ];
         let json = build_graph_json(&rows);
         check_spans(&json);
-        assert_eq!(json.retain(&[], &[]).text, json.text);
-        let merged = build_graph_json(&rows[..1]).merge(&build_graph_json(&rows[1..]));
+        let empty = build_graph_json(&[]);
+        assert_eq!(json.splice(&[], &[], &empty, &[]).text, json.text);
+        let merged =
+            build_graph_json(&rows[..1]).splice(&[], &[], &build_graph_json(&rows[1..]), &[3]);
         assert_eq!(merged.text, json.text);
         check_spans(&merged);
     }
@@ -1041,7 +1013,7 @@ mod tests {
                     .filter(|id| !kept_ids.contains(id))
                     .collect();
                 drop_nodes.sort_unstable();
-                let kept = json.retain(&drop_edges, &drop_nodes);
+                let kept = json.splice(&drop_edges, &drop_nodes, &build_graph_json(&[]), &[]);
                 let frames: Vec<_> = kept.frame_slices(&kept_rows, chunk).collect();
                 let glued = gvdb_api::reassemble_graph(
                     frames.iter().map(|f| f.graph.as_str()),

@@ -17,9 +17,9 @@
 //!   rows are dropped from the cached result, arriving rows are fetched
 //!   with one buffer-pool pin per heap page
 //!   (`gvdb_storage::LayerTable::fetch_many`), and the payload is spliced
-//!   incrementally ([`GraphJson::retain`] / [`GraphJson::merge`]) instead
-//!   of rebuilt. [`WindowResponse::rows_reused`] /
-//!   [`WindowResponse::rows_fetched`] report the split.
+//!   incrementally ([`GraphJson::splice`]) instead of rebuilt.
+//!   [`WindowResponse::rows_reused`] / [`WindowResponse::rows_fetched`]
+//!   report the split.
 //!
 //! ## Shared edits and epochs
 //!
@@ -660,8 +660,8 @@ impl QueryManager {
     /// checkpoint keeps being served). On success the layer epochs are
     /// set to the leader's flush-time values from the checkpoint
     /// metadata and the window cache is dropped. Returns the applied
-    /// `(seq, epochs)`.
-    pub fn apply_checkpoint(&self, bytes: &[u8]) -> Result<(u64, Vec<u64>)> {
+    /// checkpoint seq.
+    pub fn apply_checkpoint(&self, bytes: &[u8]) -> Result<u64> {
         let cp = gvdb_storage::wal::decode_checkpoint(bytes)
             .ok_or_else(|| StorageError::Corrupt("shipped checkpoint torn or corrupt".into()))?;
         let epochs = decode_epoch_meta(&cp.meta);
@@ -681,7 +681,7 @@ impl QueryManager {
         }
         self.cache.invalidate_all();
         drop(db);
-        Ok((seq, epochs))
+        Ok(seq)
     }
 
     /// Full resync: replace the backing database file with a shipped
@@ -1131,10 +1131,9 @@ impl QueryManager {
     ///    making the result row-for-row identical to a cold query.
     /// 4. **Splice** — the cached window's node-reference index is
     ///    updated by the departure/arrival counts, yielding the orphaned
-    ///    nodes directly; the payload is then spliced with
-    ///    [`GraphJson::retain`] (drop departed edges + orphaned nodes)
-    ///    and [`GraphJson::merge`] (splice in the fetched rows'
-    ///    fragments, deduplicating nodes), all by indexed `memcpy`.
+    ///    nodes directly; one [`GraphJson::splice`] then drops the
+    ///    departed edges and orphaned nodes and splices in the fetched
+    ///    rows' edges and genuinely new nodes, all by indexed `memcpy`.
     #[allow(clippy::too_many_arguments)]
     fn delta_window_query(
         &self,
@@ -1192,9 +1191,8 @@ impl QueryManager {
         debug_assert_in_window(&fetched, window);
 
         // Nothing departed and nothing arrived: the result is
-        // row-for-row the anchor's. Share its Arcs outright — a
-        // sub-quantum pan or a re-centering costs no row or payload work
-        // at all.
+        // row-for-row the anchor's. Share its Arcs outright — a tiny pan
+        // or a re-centering costs no row or payload work at all.
         if departed.is_empty() && fetched.is_empty() {
             let db_ms = t.elapsed().as_secs_f64() * 1e3;
             self.cache.insert(layer, window, epoch, old.clone());

@@ -23,8 +23,12 @@ use gvdb_api::ApiResult;
 /// DTO (see `gvdb_api::repl`) — the server writes it through verbatim,
 /// so byte-level response stability is owned by one serializer, not
 /// two. Methods a role does not serve return their default error:
-/// e.g. a follower has no checkpoint archive to serve and a leader
-/// accepts no pushed checkpoints.
+/// e.g. a follower serves no snapshots and only a router has a shard
+/// map.
+///
+/// Every method is a read. Replication is pull-only: a follower fetches
+/// checkpoints from its leader's provider, and nothing is ever written
+/// to a node through this trait.
 pub trait ReplProvider: Send + Sync {
     /// `GET /v1/repl/status` — role, applied checkpoint seq, per-layer
     /// epochs, and the archived checkpoint seqs available for catch-up
@@ -33,19 +37,15 @@ pub trait ReplProvider: Send + Sync {
 
     /// `GET /v1/repl/checkpoint?seq=N` — the archived checkpoint image
     /// `N` as a `gvdb_api::repl::CheckpointDto` (CRC-stamped, base64).
-    /// Leaders only; *not found* when `N` fell out of retention (the
-    /// follower must resync via [`ReplProvider::snapshot_json`]).
+    /// Leaders, and followers for the archives they applied; *not
+    /// found* when `N` is not retained (a follower that needs it must
+    /// resync via [`ReplProvider::snapshot_json`]).
     fn checkpoint_json(&self, seq: u64) -> ApiResult<String>;
 
     /// `GET /v1/repl/snapshot` — a full database snapshot
     /// (`gvdb_api::repl::SnapshotDto`) for a follower whose position is
     /// older than the oldest retained checkpoint. Leaders only.
     fn snapshot_json(&self) -> ApiResult<String>;
-
-    /// `POST /v1/repl/checkpoint` — a checkpoint pushed by the leader;
-    /// the body is a `gvdb_api::repl::CheckpointDto`. Followers only.
-    /// Returns the follower's new status JSON.
-    fn apply_checkpoint_json(&self, body: &str) -> ApiResult<String>;
 
     /// `GET /v1/shardmap` — the shard map this node routes by
     /// (`gvdb_api::repl::ShardMapDto`). Routers only.

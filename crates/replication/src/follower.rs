@@ -1,29 +1,38 @@
-//! Follower side of WAL shipping: apply pushed checkpoints, poll the
-//! leader to pull anything missed, and snapshot-resync when the local
-//! position has fallen out of the leader's archive retention.
+//! Follower side of WAL shipping: poll the leader, pull and apply every
+//! checkpoint past the local seq, and snapshot-resync when the local
+//! position has fallen out of the leader's archive retention. Pulling
+//! is the only transport, so replica lag is bounded by the poll
+//! interval.
 
-use crate::{peer_error, storage_error, Gauges};
+use crate::{peer_error, storage_error};
 use gvdb_api::repl::{CheckpointDto, ReplRole, ReplStatsDto, ReplStatusDto, SnapshotDto};
 use gvdb_api::{ApiError, ApiResult};
 use gvdb_client::GvdbClient;
 use gvdb_core::{QueryManager, ReplProvider};
 use gvdb_storage::wal;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The follower's [`ReplProvider`]: applies shipped checkpoints (push
-/// via `POST /v1/repl/checkpoint`, pull via [`FollowerRepl::sync_once`])
-/// and serves its own position and local archives, so followers can be
-/// chained (a follower can feed another follower's pull loop).
+/// The follower's [`ReplProvider`]: applies checkpoints it pulls from
+/// the leader ([`FollowerRepl::sync_once`]) and serves its own position
+/// and local archives, so followers can be chained (a follower can feed
+/// another follower's pull loop).
 pub struct FollowerRepl {
     qm: Arc<QueryManager>,
     leader: GvdbClient,
-    gauges: Gauges,
-    /// Serialises pushed applies against pulled applies — the seq guard
-    /// in [`FollowerRepl::apply_bytes`] is only meaningful if applies
-    /// cannot interleave.
+    /// Checkpoints applied (a snapshot resync counts as one).
+    applied: AtomicU64,
+    /// Newest checkpoint seq applied locally.
+    last_applied_seq: AtomicU64,
+    /// Full-snapshot resyncs performed.
+    resyncs: AtomicU64,
+    /// Serialises every apply — the pull thread's, those of direct
+    /// [`FollowerRepl::sync_once`] / [`FollowerRepl::apply_bytes`]
+    /// callers, and the snapshot replace — so the seq guard in
+    /// [`FollowerRepl::apply_bytes`] reads a position no other apply
+    /// can move under it.
     apply_lock: Mutex<()>,
     /// Leader's flush-time epochs from the last status poll; the
     /// per-layer lag gauge compares these against local epochs.
@@ -35,7 +44,9 @@ impl FollowerRepl {
         Arc::new(Self {
             qm,
             leader: GvdbClient::new(leader_addr),
-            gauges: Gauges::default(),
+            applied: AtomicU64::new(0),
+            last_applied_seq: AtomicU64::new(0),
+            resyncs: AtomicU64::new(0),
             apply_lock: Mutex::new(()),
             leader_epochs: Mutex::new(Vec::new()),
         })
@@ -117,18 +128,19 @@ impl FollowerRepl {
                 .qm
                 .replace_db_file(&bytes, &snap.epochs)
                 .map_err(storage_error)?;
-            self.gauges.resyncs.fetch_add(1, Ordering::Relaxed);
-            self.gauges.applied.fetch_add(1, Ordering::Relaxed);
-            self.gauges.last_applied_seq.store(seq, Ordering::Relaxed);
+            self.resyncs.fetch_add(1, Ordering::Relaxed);
+            self.applied.fetch_add(1, Ordering::Relaxed);
+            self.last_applied_seq.store(seq, Ordering::Relaxed);
         }
         Ok(self.qm.checkpoint_seq())
     }
 
-    /// Apply one shipped checkpoint image. The seq guard makes applies
-    /// idempotent and order-safe under concurrent push + pull: only
-    /// exactly `local_seq + 1` applies; anything older is a duplicate
-    /// and anything newer has a gap the pull loop must fill first.
-    fn apply_bytes(&self, bytes: &[u8]) -> ApiResult<(u64, Vec<u64>)> {
+    /// Apply one checkpoint image pulled from a peer; returns the new
+    /// local seq. The seq guard checks the peer's input: only exactly
+    /// `local_seq + 1` applies; anything older is a typed `Conflict` (a
+    /// replay) and so is anything newer (a gap the pull must fill
+    /// first).
+    pub fn apply_bytes(&self, bytes: &[u8]) -> ApiResult<u64> {
         let _guard = self.apply_lock.lock();
         let cp = wal::decode_checkpoint(bytes)
             .ok_or_else(|| ApiError::bad_request("shipped checkpoint torn or corrupt"))?;
@@ -139,10 +151,10 @@ impl FollowerRepl {
                 cp.seq
             )));
         }
-        let (seq, epochs) = self.qm.apply_checkpoint(bytes).map_err(storage_error)?;
-        self.gauges.applied.fetch_add(1, Ordering::Relaxed);
-        self.gauges.last_applied_seq.store(seq, Ordering::Relaxed);
-        Ok((seq, epochs))
+        let seq = self.qm.apply_checkpoint(bytes).map_err(storage_error)?;
+        self.applied.fetch_add(1, Ordering::Relaxed);
+        self.last_applied_seq.store(seq, Ordering::Relaxed);
+        Ok(seq)
     }
 
     fn local_status(&self) -> ApiResult<ReplStatusDto> {
@@ -180,18 +192,6 @@ impl ReplProvider for FollowerRepl {
         ))
     }
 
-    fn apply_checkpoint_json(&self, body: &str) -> ApiResult<String> {
-        let bytes = CheckpointDto::from_json(body)?.decode()?;
-        let (seq, epochs) = self.apply_bytes(&bytes)?;
-        Ok(ReplStatusDto {
-            role: ReplRole::Follower,
-            seq,
-            epochs,
-            archives: wal::list_archives(&self.qm.db_path()).map_err(storage_error)?,
-        }
-        .to_json())
-    }
-
     fn shard_map_json(&self) -> ApiResult<String> {
         Err(ApiError::not_found(
             "no shard map on a single node; ask a router (gvdb serve --router)",
@@ -199,7 +199,6 @@ impl ReplProvider for FollowerRepl {
     }
 
     fn stats(&self) -> ReplStatsDto {
-        let (last_shipped_seq, last_applied_seq, shipped, applied, resyncs) = self.gauges.load();
         let leader = self.leader_epochs.lock().clone();
         let lag = leader
             .iter()
@@ -208,12 +207,10 @@ impl ReplProvider for FollowerRepl {
             .collect();
         ReplStatsDto {
             role: ReplRole::Follower,
-            last_shipped_seq,
-            last_applied_seq,
+            last_applied_seq: self.last_applied_seq.load(Ordering::Relaxed),
             lag,
-            shipped,
-            applied,
-            resyncs,
+            applied: self.applied.load(Ordering::Relaxed),
+            resyncs: self.resyncs.load(Ordering::Relaxed),
         }
     }
 }

@@ -1,26 +1,14 @@
-//! Leader side of WAL shipping: serve archived checkpoints and
-//! snapshots, and optionally push fresh checkpoints to followers.
-//!
-//! The push loop is a latency optimisation, not a correctness
-//! mechanism — a follower's own poll loop ([`crate::FollowerRepl`])
-//! pulls anything the push missed (pushes are size-capped by the
-//! server's request-body limit; pulls are not), so a leader that never
-//! pushes still replicates.
+//! Leader side of WAL shipping: serve the replication position,
+//! archived checkpoints and snapshots for followers to pull. The leader
+//! never contacts a follower; each follower's poll loop
+//! ([`crate::FollowerRepl`]) is the only transport.
 
-use crate::{peer_error, storage_error, Gauges};
+use crate::storage_error;
 use gvdb_api::repl::{CheckpointDto, ReplRole, ReplStatsDto, ReplStatusDto, SnapshotDto};
 use gvdb_api::{ApiError, ApiResult};
-use gvdb_client::GvdbClient;
 use gvdb_core::{QueryManager, ReplProvider};
 use gvdb_storage::wal;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Push bodies stay under the server's `MAX_BODY_BYTES` (1 MiB) with
-/// headroom for base64 inflation (4/3) and JSON framing. Larger
-/// checkpoints are not pushed; followers pull them instead.
-const MAX_PUSH_RAW_BYTES: usize = 700 * 1024;
 
 /// The leader's [`ReplProvider`]: serves its replication position
 /// (`/v1/repl/status`), retained checkpoint archives
@@ -28,92 +16,11 @@ const MAX_PUSH_RAW_BYTES: usize = 700 * 1024;
 /// (`/v1/repl/snapshot`) over the regular HTTP surface.
 pub struct LeaderRepl {
     qm: Arc<QueryManager>,
-    gauges: Gauges,
 }
 
 impl LeaderRepl {
     pub fn new(qm: Arc<QueryManager>) -> Arc<Self> {
-        Arc::new(Self {
-            qm,
-            gauges: Gauges::default(),
-        })
-    }
-
-    /// Start the background push loop shipping new checkpoints to
-    /// `followers` (host:port). `api_key` is forwarded as a bearer
-    /// token when the followers gate their apply endpoint.
-    pub fn start_shipper(
-        self: &Arc<Self>,
-        followers: Vec<String>,
-        api_key: Option<String>,
-        interval: Duration,
-    ) -> ShipperHandle {
-        let repl = Arc::clone(self);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("gvdb-shipper".into())
-            .spawn(move || {
-                let peers: Vec<(String, GvdbClient)> = followers
-                    .into_iter()
-                    .map(|addr| {
-                        let mut client = GvdbClient::new(addr.clone());
-                        if let Some(key) = &api_key {
-                            client = client.with_api_key(key.clone());
-                        }
-                        (addr, client)
-                    })
-                    .collect();
-                while !stop2.load(Ordering::Relaxed) {
-                    for (addr, client) in &peers {
-                        if let Err(e) = repl.push_to(client) {
-                            // Next tick retries; the follower's pull
-                            // loop covers the gap meanwhile.
-                            let _ = (addr, e);
-                        }
-                    }
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !stop2.load(Ordering::Relaxed) {
-                        let step = Duration::from_millis(25).min(interval - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                }
-            })
-            .expect("spawn shipper thread");
-        ShipperHandle {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// One push pass to one follower: ask where it is, then ship every
-    /// retained checkpoint it is missing, in sequence order. Stops at
-    /// the first gap (fell out of retention — the follower will
-    /// snapshot-resync itself) or oversized checkpoint (the follower
-    /// will pull it).
-    fn push_to(&self, client: &GvdbClient) -> ApiResult<()> {
-        let (status, body) = client.get_text("/v1/repl/status").map_err(peer_error)?;
-        let body = crate::expect_200(status, body, "follower status")?;
-        let theirs = ReplStatusDto::from_json(&body)?.seq;
-        let ours = self.qm.checkpoint_seq();
-        let path = self.qm.db_path();
-        for seq in theirs + 1..=ours {
-            let Some(bytes) = wal::read_archive_bytes(&path, seq).map_err(storage_error)? else {
-                return Ok(()); // gap: seq fell out of retention
-            };
-            if bytes.len() > MAX_PUSH_RAW_BYTES {
-                return Ok(()); // too big to push; follower pulls
-            }
-            let dto = CheckpointDto::encode(seq, &bytes);
-            let (status, body) = client
-                .post_text("/v1/repl/checkpoint", &dto.to_json())
-                .map_err(peer_error)?;
-            crate::expect_200(status, body, "follower apply")?;
-            self.gauges.last_shipped_seq.store(seq, Ordering::Relaxed);
-            self.gauges.shipped.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        Arc::new(Self { qm })
     }
 }
 
@@ -144,12 +51,6 @@ impl ReplProvider for LeaderRepl {
         Ok(SnapshotDto::encode(seq, epochs, &bytes).to_json())
     }
 
-    fn apply_checkpoint_json(&self, _body: &str) -> ApiResult<String> {
-        Err(ApiError::bad_request(
-            "this node is the leader; checkpoints are applied on followers",
-        ))
-    }
-
     fn shard_map_json(&self) -> ApiResult<String> {
         Err(ApiError::not_found(
             "no shard map on a single node; ask a router (gvdb serve --router)",
@@ -157,41 +58,12 @@ impl ReplProvider for LeaderRepl {
     }
 
     fn stats(&self) -> ReplStatsDto {
-        let (last_shipped_seq, last_applied_seq, shipped, applied, resyncs) = self.gauges.load();
         ReplStatsDto {
             role: ReplRole::Leader,
-            last_shipped_seq,
-            last_applied_seq,
+            last_applied_seq: self.qm.checkpoint_seq(),
             lag: Vec::new(),
-            shipped,
-            applied,
-            resyncs,
+            applied: 0,
+            resyncs: 0,
         }
-    }
-}
-
-/// Join handle for the leader's push loop; dropping it (or calling
-/// [`ShipperHandle::stop`]) stops the thread.
-pub struct ShipperHandle {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ShipperHandle {
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ShipperHandle {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

@@ -12,11 +12,14 @@
 //! (`<db>.wal.<seq>`, keep-last-N). That artifact *is* the replication
 //! log:
 //!
-//! * the **leader** ([`LeaderRepl`]) serves archived checkpoints at
-//!   `GET /v1/repl/checkpoint?seq=N` and optionally pushes fresh ones
-//!   to its followers (`gvdb serve --replicate-to`);
-//! * a **follower** ([`FollowerRepl`]) writes a shipped image as its
-//!   local *active* WAL and reopens — the ordinary crash-recovery path
+//! * the **leader** ([`LeaderRepl`]) serves its position at
+//!   `GET /v1/repl/status` and archived checkpoints at
+//!   `GET /v1/repl/checkpoint?seq=N`; it never contacts a follower;
+//! * a **follower** ([`FollowerRepl`]) pulls: every poll interval
+//!   (`gvdb serve --follow … --poll-ms N`) it fetches the leader's status
+//!   and every checkpoint past its own seq, so replica lag is bounded by
+//!   the poll interval. It writes each pulled image as its local
+//!   *active* WAL and reopens — the ordinary crash-recovery path
 //!   applies it atomically, and a kill mid-apply leaves a torn WAL the
 //!   next open discards, so a follower always serves a complete
 //!   checkpoint;
@@ -50,35 +53,11 @@ mod leader;
 mod router;
 
 pub use follower::{FollowerHandle, FollowerRepl};
-pub use leader::{LeaderRepl, ShipperHandle};
+pub use leader::LeaderRepl;
 pub use router::{RouterRepl, RouterService};
 
 use gvdb_api::{ApiError, ApiResult};
 use gvdb_client::ClientError;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Shared replication counters, surfaced as
-/// [`gvdb_api::repl::ReplStatsDto`] in `/v1/stats`.
-#[derive(Debug, Default)]
-pub(crate) struct Gauges {
-    pub last_shipped_seq: AtomicU64,
-    pub last_applied_seq: AtomicU64,
-    pub shipped: AtomicU64,
-    pub applied: AtomicU64,
-    pub resyncs: AtomicU64,
-}
-
-impl Gauges {
-    pub fn load(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.last_shipped_seq.load(Ordering::Relaxed),
-            self.last_applied_seq.load(Ordering::Relaxed),
-            self.shipped.load(Ordering::Relaxed),
-            self.applied.load(Ordering::Relaxed),
-            self.resyncs.load(Ordering::Relaxed),
-        )
-    }
-}
 
 /// A peer's transport failure as a typed API error: a typed error from
 /// the peer passes through, anything else (connect refused, timeout,

@@ -12,7 +12,7 @@
 //! flushes are refused — writes go to the leader, which replicates
 //! them.
 
-use crate::{peer_error, Gauges};
+use crate::peer_error;
 use gvdb_api::repl::{ReplRole, ReplStatsDto, ReplStatusDto, ShardMapDto};
 use gvdb_api::{ApiError, ApiFrame, ApiRequest, ApiResponse, ApiResult, RowBatch, TrailerFrame};
 use gvdb_client::{ClientError, ClusterClient, GvdbClient, WindowParams, WindowStream};
@@ -270,14 +270,12 @@ fn unexpected(request: &ApiRequest, response: &ApiResponse) -> ApiError {
 /// no replication position of its own (it holds no data).
 pub struct RouterRepl {
     map_json: String,
-    gauges: Gauges,
 }
 
 impl RouterRepl {
     pub fn new(router: &RouterService) -> Self {
         Self {
             map_json: router.shard_map_json().to_string(),
-            gauges: Gauges::default(),
         }
     }
 }
@@ -305,26 +303,17 @@ impl ReplProvider for RouterRepl {
         ))
     }
 
-    fn apply_checkpoint_json(&self, _body: &str) -> ApiResult<String> {
-        Err(ApiError::bad_request(
-            "a router holds no data; ship checkpoints to followers",
-        ))
-    }
-
     fn shard_map_json(&self) -> ApiResult<String> {
         Ok(self.map_json.clone())
     }
 
     fn stats(&self) -> ReplStatsDto {
-        let (last_shipped_seq, last_applied_seq, shipped, applied, resyncs) = self.gauges.load();
         ReplStatsDto {
             role: ReplRole::Router,
-            last_shipped_seq,
-            last_applied_seq,
+            last_applied_seq: 0,
             lag: Vec::new(),
-            shipped,
-            applied,
-            resyncs,
+            applied: 0,
+            resyncs: 0,
         }
     }
 }

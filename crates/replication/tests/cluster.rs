@@ -1,9 +1,10 @@
 //! An in-test cluster over real TCP: leader, followers, and router are
 //! full `gvdb_server::Server` instances (threads, not mocks), wired to
 //! replication providers exactly as `gvdb serve` wires them. Covers the
-//! scale-out acceptance criteria: checkpoint shipping (push and pull),
-//! the seq guard, gap-detected snapshot resync, the bounded-staleness
-//! sentinel invariant, and byte-identity of routed window streams.
+//! scale-out acceptance criteria: checkpoint pulls, the seq guard, the
+//! absence of any push endpoint, gap-detected snapshot resync, the
+//! bounded-staleness sentinel invariant, and byte-identity of routed
+//! window streams.
 
 use gvdb_api::repl::ReplRole;
 use gvdb_api::{EdgeDto, ErrorKind, RectDto};
@@ -121,7 +122,8 @@ fn cleanup(paths: &[&std::path::Path]) {
 /// catches up incrementally through `sync_once`, lands on the leader's
 /// seq, and — the epochs-as-positions rule — adopts the leader's
 /// flush-time epochs, so its window responses carry the exact staleness
-/// position.
+/// position. Both ends' `/v1/stats` replication gauges report the
+/// motion over HTTP.
 #[test]
 fn pull_catches_up_and_sets_epochs_to_shipped_positions() {
     let (leader_qm, leader_path) = seed_leader("pull-leader", 300);
@@ -132,6 +134,8 @@ fn pull_catches_up_and_sets_epochs_to_shipped_positions() {
     let leader_client = GvdbClient::new(leader_srv.addr().to_string());
 
     let follower = FollowerRepl::new(Arc::clone(&follower_qm), leader_srv.addr().to_string());
+    let follower_srv = serve(Arc::clone(&follower_qm), follower.clone(), true);
+    let follower_client = GvdbClient::new(follower_srv.addr().to_string());
 
     // In sync: a pass is a no-op.
     assert_eq!(follower.sync_once().unwrap(), leader_qm.checkpoint_seq());
@@ -162,24 +166,34 @@ fn pull_catches_up_and_sets_epochs_to_shipped_positions() {
     assert_eq!(stats.last_applied_seq, leader_qm.checkpoint_seq());
     assert_eq!(stats.resyncs, 0);
 
+    // The same gauges over the wire, on both ends.
+    let leader_stats = leader_client.stats().unwrap().replication.unwrap();
+    assert_eq!(leader_stats.role, ReplRole::Leader);
+    assert_eq!(leader_stats.last_applied_seq, leader_qm.checkpoint_seq());
+    let follower_stats = follower_client.stats().unwrap().replication.unwrap();
+    assert_eq!(follower_stats.role, ReplRole::Follower);
+    assert_eq!(follower_stats.applied, 3);
+    assert_eq!(follower_stats.last_applied_seq, leader_qm.checkpoint_seq());
+
     leader_srv.shutdown();
+    follower_srv.shutdown();
     cleanup(&[&leader_path, &follower_path]);
 }
 
-/// The apply seq guard: a shipped checkpoint must be exactly
-/// `local_seq + 1`. Replays and gapped pushes are typed `409 Conflict`s
-/// over the wire, and the in-order push then lands.
+/// The apply seq guard checks what a peer hands the follower: a
+/// checkpoint must be exactly `local_seq + 1`. A gapped or replayed
+/// image is a typed `Conflict`, and the in-order ones apply.
 #[test]
-fn out_of_order_push_is_a_typed_conflict() {
-    let (leader_qm, leader_path) = seed_leader("push-order-leader", 300);
-    let (follower_qm, follower_path) = clone_db(&leader_path, "push-order-follower");
+fn out_of_order_checkpoint_is_a_typed_conflict() {
+    let (leader_qm, leader_path) = seed_leader("order-leader", 300);
+    let (follower_qm, follower_path) = clone_db(&leader_path, "order-follower");
 
     let leader_repl = LeaderRepl::new(Arc::clone(&leader_qm));
-    let leader_srv = serve(Arc::clone(&leader_qm), leader_repl.clone(), false);
+    let leader_srv = serve(Arc::clone(&leader_qm), leader_repl, false);
     let leader_client = GvdbClient::new(leader_srv.addr().to_string());
 
     let follower = FollowerRepl::new(Arc::clone(&follower_qm), leader_srv.addr().to_string());
-    let follower_srv = serve(Arc::clone(&follower_qm), follower, true);
+    let follower_srv = serve(Arc::clone(&follower_qm), follower.clone(), true);
     let follower_client = GvdbClient::new(follower_srv.addr().to_string());
 
     let base = follower_qm.checkpoint_seq();
@@ -190,34 +204,29 @@ fn out_of_order_push_is_a_typed_conflict() {
         leader_client.flush(None).unwrap();
     }
 
-    let fetch = |seq: u64| {
-        let (status, body) = leader_client
-            .get_text(&format!("/v1/repl/checkpoint?seq={seq}"))
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
-        body
+    let archived = |seq: u64| {
+        gvdb_storage::wal::read_archive_bytes(&leader_path, seq)
+            .unwrap()
+            .expect("leader retains its recent checkpoints")
+    };
+    let expect_conflict = |seq: u64| match follower.apply_bytes(&archived(seq)) {
+        Err(e) => assert_eq!(e.kind, ErrorKind::Conflict, "{e:?}"),
+        Ok(applied) => panic!("seq {seq} applied out of order (now at {applied})"),
     };
 
-    // Pushing seq base+2 first: gap → 409.
-    let (status, body) = follower_client
-        .post_text("/v1/repl/checkpoint", &fetch(base + 2))
-        .unwrap();
-    assert_eq!(status, 409, "{body}");
+    // Seq base+2 first: gap.
+    expect_conflict(base + 2);
+    assert_eq!(follower_qm.checkpoint_seq(), base);
 
     // In order: base+1 then base+2 apply.
     for seq in [base + 1, base + 2] {
-        let (status, body) = follower_client
-            .post_text("/v1/repl/checkpoint", &fetch(seq))
-            .unwrap();
-        assert_eq!(status, 200, "{body}");
+        assert_eq!(follower.apply_bytes(&archived(seq)).unwrap(), seq);
     }
     assert_eq!(follower_qm.checkpoint_seq(), base + 2);
 
-    // Replaying an already-applied checkpoint: duplicate → 409.
-    let (status, _) = follower_client
-        .post_text("/v1/repl/checkpoint", &fetch(base + 2))
-        .unwrap();
-    assert_eq!(status, 409);
+    // Replaying an already-applied checkpoint: duplicate.
+    expect_conflict(base + 2);
+    assert_eq!(follower_qm.checkpoint_seq(), base + 2);
 
     // The follower's HTTP surface is read-only: a direct mutation is a
     // typed 403, so replica epochs can never fork from the leader's.
@@ -234,56 +243,41 @@ fn out_of_order_push_is_a_typed_conflict() {
     cleanup(&[&leader_path, &follower_path]);
 }
 
-/// The leader's push loop ships committed checkpoints to the follower
-/// without the follower asking, and both ends' `/v1/stats` replication
-/// gauges report the motion.
+/// Replication is pull-only: no endpoint takes a checkpoint. A `POST`
+/// of a valid, in-order checkpoint to a follower is the ordinary typed
+/// v1 404 and leaves its database untouched.
 #[test]
-fn push_loop_ships_and_stats_gauges_report() {
-    let (leader_qm, leader_path) = seed_leader("push-leader", 300);
-    let (follower_qm, follower_path) = clone_db(&leader_path, "push-follower");
-
-    let follower = FollowerRepl::new(Arc::clone(&follower_qm), String::new());
-    let follower_srv = serve(Arc::clone(&follower_qm), follower, true);
+fn checkpoint_post_to_a_follower_is_a_typed_404() {
+    let (leader_qm, leader_path) = seed_leader("post-leader", 300);
+    let (follower_qm, follower_path) = clone_db(&leader_path, "post-follower");
 
     let leader_repl = LeaderRepl::new(Arc::clone(&leader_qm));
-    let leader_srv = serve(Arc::clone(&leader_qm), leader_repl.clone(), false);
+    let leader_srv = serve(Arc::clone(&leader_qm), leader_repl, false);
     let leader_client = GvdbClient::new(leader_srv.addr().to_string());
-    let _shipper = leader_repl.start_shipper(
-        vec![follower_srv.addr().to_string()],
-        None,
-        Duration::from_millis(30),
-    );
 
+    let follower = FollowerRepl::new(Arc::clone(&follower_qm), leader_srv.addr().to_string());
+    let follower_srv = serve(Arc::clone(&follower_qm), follower, true);
+    let follower_client = GvdbClient::new(follower_srv.addr().to_string());
+
+    let base = follower_qm.checkpoint_seq();
     leader_client
         .insert_edge(None, 0, sentinel_edge(1))
         .unwrap();
     leader_client.flush(None).unwrap();
-    let target = leader_qm.checkpoint_seq();
+    let (status, checkpoint) = leader_client
+        .get_text(&format!("/v1/repl/checkpoint?seq={}", base + 1))
+        .unwrap();
+    assert_eq!(status, 200, "{checkpoint}");
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while follower_qm.checkpoint_seq() < target {
-        assert!(Instant::now() < deadline, "push did not arrive in 10s");
-        std::thread::sleep(Duration::from_millis(10));
+    let (status, body) = follower_client
+        .post_text("/v1/repl/checkpoint", &checkpoint)
+        .unwrap();
+    assert_eq!(status, 404, "{body}");
+    match gvdb_api::ApiResponse::from_json(&body).unwrap() {
+        gvdb_api::ApiResponse::Error(e) => assert_eq!(e.kind, ErrorKind::NotFound),
+        other => panic!("expected a typed 404, got {other:?}"),
     }
-
-    // The follower observes the checkpoint *during* the leader's POST;
-    // the shipper bumps its gauges only once the POST returns, so poll.
-    let leader_stats = loop {
-        let stats = leader_client.stats().unwrap().replication.unwrap();
-        if stats.shipped >= 1 {
-            break stats;
-        }
-        assert!(Instant::now() < deadline, "shipped gauge never moved");
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert_eq!(leader_stats.role, ReplRole::Leader);
-    assert_eq!(leader_stats.last_shipped_seq, target);
-
-    let follower_client = GvdbClient::new(follower_srv.addr().to_string());
-    let follower_stats = follower_client.stats().unwrap().replication.unwrap();
-    assert_eq!(follower_stats.role, ReplRole::Follower);
-    assert!(follower_stats.applied >= 1);
-    assert_eq!(follower_stats.last_applied_seq, target);
+    assert_eq!(follower_qm.checkpoint_seq(), base);
 
     leader_srv.shutdown();
     follower_srv.shutdown();
@@ -330,7 +324,7 @@ fn gap_beyond_retention_snapshot_resyncs() {
 
 /// The bounded-staleness invariant, end to end over real TCP: a writer
 /// streams sentinel edits into the leader (flushing each), the follower
-/// applies shipped checkpoints concurrently, and every response a
+/// pulls and applies checkpoints concurrently, and every response a
 /// reader gets from the follower satisfies `sentinels == 1..=epoch` —
 /// the trailer/meta epoch is never ahead of or behind the data.
 #[test]

@@ -592,9 +592,9 @@ fn v1_request(request: &Request, state: &AppState) -> Result<ApiRequest, Respons
 /// verbatim to the installed [`gvdb_core::ReplProvider`]. `None` means
 /// "not a replication path — keep routing"; a replication path on a
 /// node without a provider falls through to the ordinary v1 *not
-/// found*, indistinguishable from a pre-replication build. A pushed
-/// checkpoint (`POST /v1/repl/checkpoint`) rewrites the follower's
-/// database, so it sits behind the same API key as mutations.
+/// found*, indistinguishable from a pre-replication build. Every
+/// replication endpoint is a `GET`: followers pull, so no request can
+/// rewrite a node's database through this surface.
 fn route_repl(rest: &str, request: &Request, state: &AppState) -> Option<Response> {
     if rest != "/shardmap" && !rest.starts_with("/repl/") {
         return None;
@@ -607,8 +607,6 @@ fn route_repl(rest: &str, request: &Request, state: &AppState) -> Option<Respons
             None => Err(ApiError::bad_request("need seq")),
         },
         ("GET", "/repl/snapshot") => provider.snapshot_json(),
-        ("POST", "/repl/checkpoint") => check_key(request, state, "checkpoint push")
-            .and_then(|()| provider.apply_checkpoint_json(&request.body)),
         ("GET", "/shardmap") => provider.shard_map_json(),
         _ => return None,
     };
@@ -633,7 +631,7 @@ fn authorize(
     if !needs_key {
         return Ok(());
     }
-    check_key(request, state, "this operation")?;
+    check_key(request, state)?;
     if is_mutation && !state.read_only.is_empty() {
         // Resolve which dataset the mutation addresses: the explicit
         // selector, or the service's only dataset. (An ambiguous
@@ -657,9 +655,8 @@ fn authorize(
 }
 
 /// With an API key configured, `request` must present it as
-/// `Authorization: Bearer <key>`; `what` names the gated operation in the
-/// typed `401`.
-fn check_key(request: &Request, state: &AppState, what: &str) -> Result<(), ApiError> {
+/// `Authorization: Bearer <key>`, or it gets the typed `401`.
+fn check_key(request: &Request, state: &AppState) -> Result<(), ApiError> {
     let Some(key) = &state.api_key else {
         return Ok(());
     };
@@ -668,9 +665,9 @@ fn check_key(request: &Request, state: &AppState, what: &str) -> Result<(), ApiE
     if constant_time_eq(presented.as_bytes(), expected.as_bytes()) {
         Ok(())
     } else {
-        Err(ApiError::unauthorized(format!(
-            "{what} requires 'Authorization: Bearer <api-key>'"
-        )))
+        Err(ApiError::unauthorized(
+            "this operation requires 'Authorization: Bearer <api-key>'",
+        ))
     }
 }
 

@@ -184,10 +184,21 @@ impl FullTextTrie {
             *pos += n;
             Ok(s)
         };
+        // Counts carry no CRC: reject one the remaining bytes cannot hold
+        // (a node is at least its two 4-byte counts, an id is 8 bytes)
+        // before it sizes an allocation.
+        let fits = |pos: usize, count: usize, min: usize| -> Result<()> {
+            if count > (bytes.len() - pos) / min {
+                return Err(StorageError::Corrupt("trie blob count overruns".into()));
+            }
+            Ok(())
+        };
         let node_count = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
+        fits(pos, node_count, 8)?;
         let mut nodes = Vec::with_capacity(node_count);
         for _ in 0..node_count {
             let id_count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+            fits(pos, id_count, 8)?;
             let mut ids = Vec::with_capacity(id_count);
             for _ in 0..id_count {
                 ids.push(u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
@@ -389,6 +400,29 @@ mod tests {
         assert_eq!(loaded.search("alpha"), vec![0, 2]);
         assert_eq!(loaded.search("soup"), vec![2]);
         assert_eq!(loaded.node_count(), t.node_count());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn corrupt_counts_are_errors_not_aborts() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("gvdb-trie-corrupt-{}", std::process::id()));
+        let pool = BufferPool::new(Pager::create(&path).unwrap(), 8);
+        let mut t = FullTextTrie::new();
+        t.insert("ab", 1);
+        let good = blob::read(&pool, t.save(&pool).unwrap()).unwrap();
+        // Node count 2^40, then the root's id count 2^31.
+        let mut huge_nodes = good.clone();
+        huge_nodes[..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let mut huge_ids = good;
+        huge_ids[8..12].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        for blob_bytes in [huge_nodes, huge_ids] {
+            let head = blob::write(&pool, &blob_bytes).unwrap();
+            match FullTextTrie::load(&pool, head) {
+                Err(StorageError::Corrupt(_)) => {}
+                other => panic!("expected Corrupt, got {:?}", other.map(|t| t.node_count())),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

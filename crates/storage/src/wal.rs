@@ -112,13 +112,6 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Option<Checkpoint> {
     decode(bytes)
 }
 
-/// Write a committed checkpoint WAL (fsynced) with no sequence number or
-/// metadata — the pre-replication entry point, kept for callers that do not
-/// track positions.
-pub fn write_checkpoint(db_path: &Path, header: &Page, pages: &[(PageId, Page)]) -> Result<()> {
-    write_checkpoint_seq(db_path, 0, &[], header, pages)
-}
-
 /// Write a committed checkpoint WAL (fsynced) carrying a sequence number
 /// and opaque metadata (see [`encode_checkpoint`] for the layout).
 pub fn write_checkpoint_seq(
@@ -296,6 +289,10 @@ fn decode(bytes: &[u8]) -> Option<Checkpoint> {
         return None;
     }
     header.bytes_mut().copy_from_slice(header_bytes);
+    // No CRC covers `count`: a corrupt word must not size the allocation.
+    if count > (bytes.len() - pos) / (8 + PAGE_SIZE + 4) {
+        return None;
+    }
     let mut pages = Vec::with_capacity(count);
     for _ in 0..count {
         let pid = u64::from_le_bytes(take(&mut pos, 8)?.try_into().ok()?);
@@ -349,7 +346,7 @@ mod tests {
     fn roundtrip_checkpoint() {
         let db = tmp("roundtrip");
         let pages = vec![(PageId(3), page_with(33)), (PageId(7), page_with(77))];
-        write_checkpoint(&db, &page_with(1), &pages).unwrap();
+        write_checkpoint_seq(&db, 0, &[], &page_with(1), &pages).unwrap();
         let cp = read_checkpoint(&db).unwrap().expect("committed");
         assert_eq!(cp.header.get_u64(0), 1);
         assert_eq!(cp.pages.len(), 2);
@@ -363,7 +360,7 @@ mod tests {
     fn torn_wal_is_discarded() {
         let db = tmp("torn");
         let pages = vec![(PageId(3), page_with(33))];
-        write_checkpoint(&db, &page_with(1), &pages).unwrap();
+        write_checkpoint_seq(&db, 0, &[], &page_with(1), &pages).unwrap();
         // Truncate the commit record off.
         let wal = wal_path(&db);
         let bytes = std::fs::read(&wal).unwrap();
@@ -375,7 +372,7 @@ mod tests {
     #[test]
     fn corrupt_page_crc_is_discarded() {
         let db = tmp("crc");
-        write_checkpoint(&db, &page_with(1), &[(PageId(2), page_with(5))]).unwrap();
+        write_checkpoint_seq(&db, 0, &[], &page_with(1), &[(PageId(2), page_with(5))]).unwrap();
         let wal = wal_path(&db);
         let mut bytes = std::fs::read(&wal).unwrap();
         // Flip a byte inside the page body.
@@ -395,7 +392,7 @@ mod tests {
     #[test]
     fn empty_checkpoint_commits() {
         let db = tmp("empty");
-        write_checkpoint(&db, &page_with(9), &[]).unwrap();
+        write_checkpoint_seq(&db, 0, &[], &page_with(9), &[]).unwrap();
         let cp = read_checkpoint(&db).unwrap().expect("committed");
         assert!(cp.pages.is_empty());
         assert_eq!(cp.header.get_u64(0), 9);
@@ -439,6 +436,14 @@ mod tests {
         torn[21] ^= 0xFF;
         assert!(decode_checkpoint(&bytes).is_some());
         assert!(decode_checkpoint(&torn).is_none());
+    }
+
+    #[test]
+    fn corrupt_page_count_is_rejected_before_allocating() {
+        let mut bytes = encode_checkpoint(5, b"m", &page_with(1), &[]);
+        // The count word follows magic 4 + seq 8 + len 8 + meta 1 + crc 4.
+        bytes[25..33].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(decode_checkpoint(&bytes).is_none());
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn committed_wal_is_replayed_on_open() {
             }
         }
         std::fs::write(&path, &before).unwrap(); // roll the file back
-        wal::write_checkpoint(&path, &header, &pages).unwrap();
+        wal::write_checkpoint_seq(&path, 0, &[], &header, &pages).unwrap();
     }
 
     // Open: recovery must replay the checkpoint.

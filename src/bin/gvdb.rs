@@ -11,7 +11,6 @@
 //!            [--addr HOST:PORT] [--workers N] [--backlog N]
 //!            [--max-connections N] [--outbox-bytes N]
 //!            [--api-key KEY] [--read-only DATASET]...
-//!            [--replicate-to HOST:PORT]... [--ship-interval-ms N]
 //!            [--follow HOST:PORT] [--poll-ms N]
 //! gvdb serve --router --shard HOST:PORT... [--addr HOST:PORT]
 //!            [--shardmap-out FILE] [server flags]
@@ -21,6 +20,12 @@
 //! bare `<db>` serves as dataset `default`, several `<name>=<path>` pairs
 //! serve side by side behind `dataset=<name>`, and `--workspace <dir>`
 //! loads every `*.gvdb` file in the directory (dataset name = file stem).
+//!
+//! A single-dataset `serve` is a replication leader: it serves
+//! `/v1/repl/*` for followers to pull and never contacts them.
+//! `--follow HOST:PORT` makes a read-only follower that pulls the
+//! leader's new checkpoints every `--poll-ms` (default 500), and
+//! `--router` fans reads out over the `--shard` replicas.
 //!
 //! Input format is inferred from the extension: `.nt` parses as N-Triples,
 //! anything else as a (tab/space-separated) edge list.
@@ -69,7 +74,6 @@ const USAGE: &str = "usage:
              [--addr HOST:PORT] [--workers N] [--backlog N]
              [--max-connections N] [--outbox-bytes N]
              [--api-key KEY] [--read-only DATASET]...
-             [--replicate-to HOST:PORT]... [--ship-interval-ms N]
              [--follow HOST:PORT] [--poll-ms N]
   gvdb serve --router --shard HOST:PORT... [--addr HOST:PORT]
              [--shardmap-out FILE] [server flags]";
@@ -112,8 +116,6 @@ const SERVE_VALUE_FLAGS: &[&str] = &[
     "--workspace",
     "--api-key",
     "--read-only",
-    "--replicate-to",
-    "--ship-interval-ms",
     "--follow",
     "--poll-ms",
     "--shard",
@@ -341,32 +343,19 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .collect();
 
     // Replication / sharding roles.
-    let replicate_to: Vec<String> = flag_all(args, "--replicate-to")
-        .into_iter()
-        .map(String::from)
-        .collect();
     let follow = flag(args, "--follow").map(String::from);
     let router_mode = args.iter().any(|a| a == "--router");
     let shards: Vec<String> = flag_all(args, "--shard")
         .into_iter()
         .map(String::from)
         .collect();
-    let ship_ms: u64 = match flag(args, "--ship-interval-ms") {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("bad --ship-interval-ms {v}"))?,
-        None => 500,
-    };
     let poll_ms: u64 = match flag(args, "--poll-ms") {
         Some(v) => v.parse().map_err(|_| format!("bad --poll-ms {v}"))?,
         None => 500,
     };
     let shardmap_out = flag(args, "--shardmap-out");
-    if follow.is_some() && !replicate_to.is_empty() {
-        return Err("--follow and --replicate-to are different roles; pick one".into());
-    }
-    if router_mode && (follow.is_some() || !replicate_to.is_empty()) {
-        return Err("--router cannot be combined with --follow or --replicate-to".into());
+    if router_mode && follow.is_some() {
+        return Err("--router cannot be combined with --follow".into());
     }
     if !shards.is_empty() && !router_mode {
         return Err("--shard only makes sense with --router".into());
@@ -436,11 +425,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     // Wire the replication personality. Any single-dataset server is a
-    // potential leader — it serves `/v1/repl/*` so followers can pull —
-    // and `--replicate-to` additionally pushes fresh checkpoints.
-    // `--follow` makes this node a read-only replica of a leader.
+    // leader — it serves `/v1/repl/*` so followers can pull. `--follow`
+    // makes this node a read-only replica that pulls from a leader.
     let mut _follower_loop = None;
-    let mut _shipper_loop = None;
     if let Some(leader_addr) = follow {
         if workspace.len() != 1 {
             return Err("--follow replicates exactly one dataset; serve a single <db>".into());
@@ -457,21 +444,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         println!("following {leader_addr} (poll every {poll_ms}ms); local writes are refused");
     } else if workspace.len() == 1 {
         let (_, qm) = workspace.entries().pop().expect("one dataset");
-        let leader = LeaderRepl::new(qm);
-        if !replicate_to.is_empty() {
-            _shipper_loop = Some(leader.start_shipper(
-                replicate_to.clone(),
-                config.api_key.clone(),
-                Duration::from_millis(ship_ms.max(1)),
-            ));
-            println!(
-                "shipping checkpoints to {} every {ship_ms}ms",
-                replicate_to.join(", ")
-            );
-        }
-        config.repl = Some(leader);
-    } else if !replicate_to.is_empty() {
-        return Err("--replicate-to requires serving exactly one dataset".into());
+        config.repl = Some(LeaderRepl::new(qm));
     }
 
     let datasets = workspace.names().join(", ");
