@@ -40,7 +40,7 @@
 //! through byte for byte).
 
 use crate::json::Json;
-use crate::pack::PackedRows;
+use crate::pack::{push_u64, PackedImage};
 use crate::predicate::AggregateDto;
 use crate::{
     need, need_raw, need_str, need_u64, need_usize, ApiError, ApiResult, SearchHitDto, Source,
@@ -99,8 +99,8 @@ pub enum RowBatch {
     /// (`ApiRequest::Window { packed: true }`); decode with
     /// [`RowBatch::into_plain`] to get the exact plain fragment back.
     Packed {
-        /// The decoded batch content.
-        rows: PackedRows,
+        /// The batch content as a validated binary image.
+        image: PackedImage,
         /// Same meaning as [`RowBatch::Graph::reused`].
         reused: bool,
     },
@@ -117,7 +117,7 @@ impl RowBatch {
     pub fn len(&self) -> usize {
         match self {
             RowBatch::Graph { edges, .. } => *edges as usize,
-            RowBatch::Packed { rows, .. } => rows.edges.len(),
+            RowBatch::Packed { image, .. } => image.edges(),
             RowBatch::Hits { hits } => hits.len(),
         }
     }
@@ -133,10 +133,10 @@ impl RowBatch {
     /// unchanged, so a consumer can normalize a mixed stream.
     pub fn into_plain(self) -> RowBatch {
         match self {
-            RowBatch::Packed { rows, reused } => RowBatch::Graph {
-                nodes: rows.nodes.len() as u64,
-                edges: rows.edges.len() as u64,
-                graph: rows.to_graph_fragment(),
+            RowBatch::Packed { image, reused } => RowBatch::Graph {
+                nodes: image.nodes() as u64,
+                edges: image.edges() as u64,
+                graph: image.to_graph_fragment(),
                 reused,
             },
             other => other,
@@ -207,8 +207,20 @@ impl ApiFrame {
 
     /// Serialize to the wire form `{"frame":…, …}`. Graph fragments are
     /// spliced in verbatim (they are already JSON), mirroring the
-    /// zero-copy envelope of [`crate::ApiResponse::to_json`].
+    /// zero-copy envelope of [`crate::ApiResponse::to_json`]; a packed
+    /// image is base64-encoded straight into the frame text.
     pub fn to_json(&self) -> String {
+        let rows_head = |out: &mut String, nodes: u64, edges: u64, reused: bool| {
+            out.push_str("{\"frame\":\"rows\",\"nodes\":");
+            push_u64(out, nodes);
+            out.push_str(",\"edges\":");
+            push_u64(out, edges);
+            out.push_str(if reused {
+                ",\"reused\":true"
+            } else {
+                ",\"reused\":false"
+            });
+        };
         match self {
             ApiFrame::Rows(RowBatch::Graph {
                 graph,
@@ -217,28 +229,22 @@ impl ApiFrame {
                 reused,
             }) => {
                 let mut out = String::with_capacity(graph.len() + 64);
-                out.push_str("{\"frame\":\"rows\",\"nodes\":");
-                out.push_str(&nodes.to_string());
-                out.push_str(",\"edges\":");
-                out.push_str(&edges.to_string());
-                out.push_str(",\"reused\":");
-                out.push_str(if *reused { "true" } else { "false" });
+                rows_head(&mut out, *nodes, *edges, *reused);
                 out.push_str(",\"graph\":");
                 out.push_str(graph);
                 out.push('}');
                 out
             }
-            ApiFrame::Rows(RowBatch::Packed { rows, reused }) => {
-                let packed = rows.encode_b64();
-                let mut out = String::with_capacity(packed.len() + 80);
-                out.push_str("{\"frame\":\"rows\",\"nodes\":");
-                out.push_str(&rows.nodes.len().to_string());
-                out.push_str(",\"edges\":");
-                out.push_str(&rows.edges.len().to_string());
-                out.push_str(",\"reused\":");
-                out.push_str(if *reused { "true" } else { "false" });
+            ApiFrame::Rows(RowBatch::Packed { image, reused }) => {
+                let mut out = String::with_capacity(image.as_bytes().len().div_ceil(3) * 4 + 80);
+                rows_head(
+                    &mut out,
+                    image.nodes() as u64,
+                    image.edges() as u64,
+                    *reused,
+                );
                 out.push_str(",\"packed\":\"");
-                out.push_str(&packed); // base64: no JSON escaping needed
+                image.push_b64(&mut out); // base64: no JSON escaping needed
                 out.push_str("\"}");
                 out
             }
@@ -315,10 +321,17 @@ impl ApiFrame {
     /// Parse the wire form produced by [`ApiFrame::to_json`]. A graph
     /// fragment is validated as JSON in place and handed through byte
     /// for byte — no tree is built for it — so round-trips are exact
-    /// (see [`Json::parse_keeping`]).
+    /// (see [`Json::parse_keeping`]). A packed image is read the same
+    /// way, as a slice of `text`, base64-decoded and validated; its
+    /// string must be plain base64, without JSON escapes.
     pub fn from_json(text: &str) -> ApiResult<ApiFrame> {
-        let (v, graph) = Json::parse_keeping(text, "graph")
+        let (v, kept) = Json::parse_keeping(text, &["graph", "packed"])
             .map_err(|e| ApiError::bad_request(format!("malformed frame: {e}")))?;
+        let (graph, packed) = match kept {
+            Some((0, graph)) => (Some(graph), None),
+            Some((_, packed)) => (None, Some(packed)),
+            None => (None, None),
+        };
         let kind = need_str(&v, "frame")?;
         Ok(match kind {
             "header" => ApiFrame::Header(FrameHeader {
@@ -352,19 +365,20 @@ impl ApiFrame {
                             })
                             .collect::<ApiResult<_>>()?,
                     })
-                } else if let Some(packed) = v.get("packed") {
+                } else if let Some(packed) = packed {
                     let text = packed
-                        .as_str()
+                        .strip_prefix('"')
+                        .and_then(|s| s.strip_suffix('"'))
                         .ok_or_else(|| ApiError::bad_request("packed must be a string"))?;
-                    let rows = PackedRows::decode_b64(text).map_err(ApiError::bad_request)?;
+                    let image = PackedImage::from_b64(text).map_err(ApiError::bad_request)?;
                     let (nodes, edges) = (need_u64(&v, "nodes")?, need_u64(&v, "edges")?);
-                    if nodes != rows.nodes.len() as u64 || edges != rows.edges.len() as u64 {
+                    if nodes != image.nodes() as u64 || edges != image.edges() as u64 {
                         return Err(ApiError::bad_request(
                             "packed frame counts disagree with its image",
                         ));
                     }
                     ApiFrame::Rows(RowBatch::Packed {
-                        rows,
+                        image,
                         reused: v.get("reused").and_then(Json::as_bool).unwrap_or(false),
                     })
                 } else {
@@ -526,7 +540,7 @@ mod tests {
             reused: true,
         }));
         roundtrip(&ApiFrame::Rows(RowBatch::Packed {
-            rows: PackedRows {
+            image: crate::pack::PackedRows {
                 nodes: vec![crate::pack::PackedNode {
                     id: 3,
                     label: "n\"3".into(),
@@ -540,7 +554,8 @@ mod tests {
                     label: "loop".into(),
                     directed: true,
                 }],
-            },
+            }
+            .to_image(),
             reused: false,
         }));
         roundtrip(&ApiFrame::Rows(RowBatch::Hits {

@@ -36,24 +36,33 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// The member [`Json::parse_keeping`] validated in place, if any: the
+/// index of its key in `keys` and its raw text.
+pub type Kept<'t> = Option<(usize, &'t str)>;
+
 impl Json {
     /// Parse one JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        Parser::new(text).document(None)
+        Parser::new(text).document(&[])
     }
 
-    /// [`Json::parse`], except that member `key` of a top-level object is
-    /// **validated in place** instead of built: it is checked against the
-    /// same grammar (the same escapes, surrogate rules and number
-    /// acceptance, so exactly the documents [`Json::parse`] accepts are
-    /// accepted), left out of the returned tree and returned as a slice
-    /// of `text`, byte for byte. The first occurrence wins, as with
-    /// [`Json::get`]. Row frames use this to hand their graph payload
+    /// [`Json::parse`], except that the first member of a top-level
+    /// object whose key is one of `keys` is **validated in place** instead
+    /// of built: it is checked against the same grammar (the same
+    /// escapes, surrogate rules and number acceptance, so exactly the
+    /// documents [`Json::parse`] accepts are accepted), left out of the
+    /// returned tree and returned as a slice of `text`, byte for byte,
+    /// with the index of its key in `keys`. Later members under any of
+    /// `keys` are validated the same way and dropped. Row
+    /// frames use this to hand their graph payload (or packed image)
     /// through without building a tree for it and printing it back.
-    pub fn parse_keeping<'t>(text: &'t str, key: &str) -> Result<(Json, Option<&'t str>), String> {
+    pub fn parse_keeping<'t>(text: &'t str, keys: &[&str]) -> Result<(Json, Kept<'t>), String> {
         let mut p = Parser::new(text);
-        let value = p.document(Some(key))?;
-        Ok((value, p.kept.map(|(start, end)| &text[start..end])))
+        let value = p.document(keys)?;
+        Ok((
+            value,
+            p.kept.map(|(key, start, end)| (key, &text[start..end])),
+        ))
     }
 
     /// Member `key` of an object (None for non-objects / missing keys).
@@ -186,27 +195,72 @@ pub(crate) fn write_f64(v: f64, out: &mut String) {
     }
 }
 
-/// JSON string escaping (quote, backslash, control characters).
+/// JSON string escaping (quote, backslash, control characters). Runs
+/// that need no escape are copied as whole slices; every byte that needs
+/// one is ASCII, so the runs split on char boundaries.
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xF)] as char);
+        } else {
+            out.push_str(short);
         }
     }
+    out.push_str(&s[run..]);
+}
+
+/// Length of the longest prefix of `bytes` free of `"`, `\\` and
+/// control bytes — what a string literal may hold unescaped. Eight bytes
+/// are tested at a time: `quote`/`slash` zero exactly the matching bytes,
+/// and the has-zero / has-less-than word tests are exact about whether
+/// a word holds any match, so only the word that does is rescanned
+/// bytewise.
+fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let special = |b: u8| b == b'"' || b == b'\\' || b < 0x20;
+    let mut words = bytes.chunks_exact(8);
+    let mut run = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        let (quote, slash) = (w ^ (ONES * u64::from(b'"')), w ^ (ONES * u64::from(b'\\')));
+        let zero = |x: u64| x.wrapping_sub(ONES) & !x & HIGH;
+        let control = w.wrapping_sub(ONES * 0x20) & !w & HIGH;
+        if zero(quote) | zero(slash) | control != 0 {
+            return run
+                + word
+                    .iter()
+                    .position(|&b| special(b))
+                    .expect("word holds a match");
+        }
+        run += 8;
+    }
+    let rest = words.remainder();
+    run + rest.iter().position(|&b| special(b)).unwrap_or(rest.len())
 }
 
 struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Byte range of the member [`Json::parse_keeping`] validated in place.
-    kept: Option<(usize, usize)>,
+    /// Key index and byte range of the member [`Json::parse_keeping`]
+    /// validated in place.
+    kept: Option<(usize, usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -219,9 +273,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// One whole document; a top-level object's `keep` member is
-    /// validated in place (see [`Json::parse_keeping`]).
-    fn document(&mut self, keep: Option<&str>) -> Result<Json, String> {
+    /// One whole document; a top-level object's first member under one
+    /// of `keep` is validated in place (see [`Json::parse_keeping`]).
+    fn document(&mut self, keep: &[&str]) -> Result<Json, String> {
         self.skip_ws();
         let value = if self.peek() == Some(b'{') {
             self.object(keep)?
@@ -281,7 +335,7 @@ impl<'a> Parser<'a> {
                 })?;
                 Ok(Json::Arr(items))
             }
-            Some(b'{') => self.object(None),
+            Some(b'{') => self.object(&[]),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected byte 0x{other:02x} at offset {}",
@@ -352,17 +406,17 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// An object; its `keep` member (first occurrence) is validated in
-    /// place and its range recorded instead of being built.
-    fn object(&mut self, keep: Option<&str>) -> Result<Json, String> {
+    /// An object; its members under `keep` are validated in place, not
+    /// built, and the first one's range is recorded.
+    fn object(&mut self, keep: &[&str]) -> Result<Json, String> {
         let mut members = Vec::new();
         self.seq(b'{', b'}', |p| {
             let key = p.string()?;
             p.colon()?;
-            if keep == Some(key.as_str()) {
+            if let Some(idx) = keep.iter().position(|k| *k == key) {
                 let start = p.pos;
                 p.skip_value()?;
-                p.kept.get_or_insert((start, p.pos));
+                p.kept.get_or_insert((idx, start, p.pos));
             } else {
                 members.push((key, p.value()?));
             }
@@ -393,10 +447,7 @@ impl<'a> Parser<'a> {
             let start = self.pos;
             // Fast path: the maximal escape-free run as one slice. It
             // starts and ends next to ASCII bytes, so on char boundaries.
-            self.pos += self.bytes[start..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                .unwrap_or(self.bytes.len() - start);
+            self.pos += plain_run(&self.bytes[start..]);
             if let Some(out) = out.as_deref_mut() {
                 out.push_str(&self.text[start..self.pos]);
             }
@@ -658,12 +709,12 @@ mod tests {
             let doc = in_graph_member(bad);
             assert!(Json::parse(&doc).is_err(), "parse accepted {doc:?}");
             assert!(
-                Json::parse_keeping(&doc, "graph").is_err(),
+                Json::parse_keeping(&doc, &["graph"]).is_err(),
                 "parse_keeping accepted {doc:?}"
             );
             // The bare value, kept as a member of a one-member object.
             let bare = format!("{{\"graph\":{bad}}}");
-            assert!(Json::parse_keeping(&bare, "graph").is_err(), "{bare:?}");
+            assert!(Json::parse_keeping(&bare, &["graph"]).is_err(), "{bare:?}");
         }
         let accepted = [
             "null",
@@ -688,7 +739,8 @@ mod tests {
         for good in accepted {
             let doc = in_graph_member(good);
             let full = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
-            let (tree, kept) = Json::parse_keeping(&doc, "graph").unwrap();
+            let (tree, kept) = Json::parse_keeping(&doc, &["graph"]).unwrap();
+            let kept = kept.map(|(_, slice)| slice);
             assert_eq!(kept, Some(good.trim()), "{doc:?}");
             // The kept member reparses to what the full tree holds.
             assert_eq!(
@@ -707,12 +759,15 @@ mod tests {
     #[test]
     fn keeping_takes_the_first_top_level_member_only() {
         let doc = r#"{"a":{"graph":1},"graph":[2],"graph":[3]}"#;
-        let (tree, kept) = Json::parse_keeping(doc, "graph").unwrap();
-        assert_eq!(kept, Some("[2]"));
+        let (tree, kept) = Json::parse_keeping(doc, &["graph"]).unwrap();
+        assert_eq!(kept, Some((0, "[2]")));
         assert_eq!(tree, Json::parse(r#"{"a":{"graph":1}}"#).unwrap());
         // Not an object, or no such member: nothing is kept.
-        assert_eq!(Json::parse_keeping("[1]", "graph").unwrap().1, None);
-        assert_eq!(Json::parse_keeping("{\"b\":1}", "graph").unwrap().1, None);
+        assert_eq!(Json::parse_keeping("[1]", &["graph"]).unwrap().1, None);
+        assert_eq!(
+            Json::parse_keeping("{\"b\":1}", &["graph"]).unwrap().1,
+            None
+        );
         // Errors are worded as parse words them.
         for bad in [
             "{\"graph\":[1,}",
@@ -720,7 +775,7 @@ mod tests {
             "{\"graph\":1.2.3}",
         ] {
             assert_eq!(
-                Json::parse_keeping(bad, "graph").unwrap_err(),
+                Json::parse_keeping(bad, &["graph"]).unwrap_err(),
                 Json::parse(bad).unwrap_err()
             );
         }

@@ -45,7 +45,7 @@ pub use frame::{
     TrailerFrame, DEFAULT_CHUNK_ROWS,
 };
 pub use json::{escape_into, Json};
-pub use pack::{PackedEdge, PackedNode, PackedRows};
+pub use pack::{ImageWriter, PackedEdge, PackedImage, PackedNode, PackedRows};
 pub use predicate::{AggOp, AggregateDto, Field, HistogramDto, Predicate};
 
 use serde::{Deserialize, Serialize};
@@ -1386,8 +1386,9 @@ impl ApiResponse {
     /// through byte for byte without building a tree for it (see
     /// [`Json::parse_keeping`]).
     pub fn from_json(text: &str) -> ApiResult<ApiResponse> {
-        let (v, graph) = Json::parse_keeping(text, "graph")
+        let (v, graph) = Json::parse_keeping(text, &["graph"])
             .map_err(|e| ApiError::bad_request(format!("malformed response: {e}")))?;
+        let graph = graph.map(|(_, slice)| slice);
         let kind = need_str(&v, "kind")?;
         Ok(match kind {
             "datasets" => ApiResponse::Datasets {

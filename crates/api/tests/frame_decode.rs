@@ -164,7 +164,7 @@ proptest! {
         let text = mutate(&frame, &mutations);
         let parsed = Json::parse(&text);
         prop_assert_eq!(
-            Json::parse_keeping(&text, "graph").is_ok(),
+            Json::parse_keeping(&text, &["graph"]).is_ok(),
             parsed.is_ok(),
             "{:?}",
             text

@@ -3,8 +3,8 @@
 
 use gvdb_api::{
     AggOp, AggregateDto, ApiError, ApiRequest, ApiResponse, CacheStatsDto, DatasetInfo,
-    DatasetStats, EdgeDto, ErrorKind, Field, HistogramDto, LayerInfo, PackedRows, PoolStatsDto,
-    Predicate, RectDto, SearchHitDto, SessionStatsDto, Source, StatsDto, WindowMeta,
+    DatasetStats, EdgeDto, ErrorKind, Field, HistogramDto, LayerInfo, PackedImage, PackedRows,
+    PoolStatsDto, Predicate, RectDto, SearchHitDto, SessionStatsDto, Source, StatsDto, WindowMeta,
 };
 
 fn rect() -> RectDto {
@@ -651,6 +651,7 @@ fn hostile_packed_suffix_len_is_a_decode_error() {
     img.extend(std::iter::repeat_n(0xFF, 9)); // varint u64::MAX
     img.push(0x01);
     assert!(PackedRows::decode(&img).is_err());
+    assert!(PackedImage::from_bytes(img).is_err());
 }
 
 #[test]
@@ -662,4 +663,5 @@ fn hostile_packed_node_count_is_a_decode_error() {
     img.push(2);
     img.push(0);
     assert!(PackedRows::decode(&img).is_err());
+    assert!(PackedImage::from_bytes(img).is_err());
 }

@@ -1180,14 +1180,14 @@ impl MergedWindowStream {
         while self.current < self.streams.len() {
             let stream = &mut self.streams[self.current];
             match stream.next_batch_raw()? {
-                Some(RowBatch::Packed { mut rows, .. }) => {
+                Some(RowBatch::Packed { image, .. }) => {
+                    let mut rows = image.to_rows();
                     rows.nodes.retain(|n| self.seen.insert(n.id));
                     return Ok(Some(rows));
                 }
                 Some(RowBatch::Graph { .. }) => {
-                    // We negotiated packed; a plain frame means the
-                    // shard fell back (payload divergence) and global
-                    // dedup is impossible.
+                    // We negotiated packed; a shard that answers plain
+                    // does not pack, and global dedup needs the nodes.
                     return Err(ClientError::Protocol(
                         "shard answered with plain frames; cannot merge".into(),
                     ));
@@ -1227,12 +1227,11 @@ impl MergedWindowStream {
     /// [`RowBatch::Graph`] fragment — byte-identical to the fragment an
     /// unsharded stream would emit for the same rows.
     pub fn next_plain(&mut self) -> Result<Option<RowBatch>> {
-        Ok(self.next_packed()?.map(|rows| {
-            RowBatch::Packed {
-                rows,
-                reused: false,
-            }
-            .into_plain()
+        Ok(self.next_packed()?.map(|rows| RowBatch::Graph {
+            graph: rows.to_graph_fragment(),
+            nodes: rows.nodes.len() as u64,
+            edges: rows.edges.len() as u64,
+            reused: false,
         }))
     }
 

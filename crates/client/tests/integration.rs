@@ -297,6 +297,98 @@ fn packed_negotiation_is_transparent() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Delta windows stream packed too: along a session's pan and for a
+/// sessionless window overlapping a cached one, every `Rows` frame
+/// arrives packed, the decoded stream reassembles to exactly the plain
+/// stream and the buffered body of the same window, and the packed rows
+/// take at most half the plain rows' wire bytes.
+#[test]
+fn delta_windows_stream_packed() {
+    let (qm, path) = manager("packeddelta", 500);
+    let extent = qm
+        .window_query(0, &gvdb_spatial::Rect::new(-1e9, -1e9, 1e9, 1e9))
+        .unwrap();
+    let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
+    let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for (_, row) in extent.rows.iter() {
+        let g = &row.geometry;
+        min_x = min_x.min(g.x1).min(g.x2);
+        max_x = max_x.max(g.x1).max(g.x2);
+        min_y = min_y.min(g.y1).min(g.y2);
+        max_y = max_y.max(g.y1).max(g.y2);
+    }
+    let server = Server::start(Arc::new(qm), ServerConfig::default()).unwrap();
+    let client = GvdbClient::new(server.addr().to_string());
+    // Windows half the plane wide, stepping a tenth of it: 80% overlap.
+    let (w, h) = ((max_x - min_x) / 2.0, max_y - min_y);
+    let view = |step: f64| RectDto {
+        min_x: min_x + step * w / 5.0,
+        min_y,
+        max_x: min_x + step * w / 5.0 + w,
+        max_y: min_y + h,
+    };
+
+    // (source, decoded payload, every frame packed, rows wire bytes)
+    let stream = |params: &WindowParams| {
+        let mut stream = client.window_stream(params).unwrap();
+        let (mut fragments, mut all_packed) = (Vec::new(), true);
+        while let Some(batch) = stream.next_batch_raw().unwrap() {
+            all_packed &= matches!(batch, RowBatch::Packed { .. });
+            match batch.into_plain() {
+                RowBatch::Graph { graph, .. } => fragments.push(graph),
+                other => panic!("window streamed {other:?}"),
+            }
+        }
+        let text = gvdb_api::reassemble_graph(fragments.iter().map(String::as_str)).unwrap();
+        (
+            stream.header.source,
+            text,
+            all_packed,
+            stream.rows_wire_bytes(),
+        )
+    };
+    let check = |packed: &WindowParams| -> Option<Source> {
+        let (source, packed_text, all_packed, packed_wire) = stream(packed);
+        assert!(all_packed, "{source:?} window sent a plain frame");
+        let plain = WindowParams {
+            session: None,
+            packed: false,
+            ..packed.clone()
+        };
+        let (_, plain_text, _, plain_wire) = stream(&plain);
+        let (_, buffered) = client.window(&plain).unwrap();
+        assert_eq!(packed_text, plain_text, "packed stream != plain stream");
+        assert_eq!(packed_text, buffered, "packed stream != buffered body");
+        assert!(
+            packed_wire * 2 <= plain_wire,
+            "packed rows {packed_wire} B over half of plain {plain_wire} B"
+        );
+        source
+    };
+
+    let session = client.session_new(None, Some(view(0.0))).unwrap();
+    let mut sources = Vec::new();
+    for step in 0..6 {
+        sources.push(check(&WindowParams {
+            window: view(step as f64),
+            session: Some(session),
+            ..Default::default()
+        }));
+    }
+    assert!(
+        sources[1..].iter().all(|s| *s == Some(Source::Delta)),
+        "session pans ride the delta path: {sources:?}"
+    );
+    // Sessionless: a window overlapping a cached one splices off it.
+    let overlapping = WindowParams {
+        window: view(5.5),
+        ..Default::default()
+    };
+    assert_eq!(check(&overlapping), Some(Source::Delta));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn idle_pooled_connections_are_visible_in_server_stats() {
     let (qm, path) = manager("gauge", 300);

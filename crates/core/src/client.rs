@@ -100,7 +100,6 @@ mod tests {
             edge_count: edges,
             node_spans: Vec::new(),
             edge_spans: Vec::new(),
-            canonical: false,
         }
     }
 

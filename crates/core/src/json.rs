@@ -13,8 +13,10 @@
 //! `memcpy`d by range, with no re-escaping, no number re-formatting, and
 //! no scanning of the payload.
 
+use gvdb_api::pack::FastHash;
+use gvdb_api::{ImageWriter, PackedImage, RowBatch};
 use gvdb_storage::{EdgeRow, RowId};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// The emitted payload skeleton: `{"nodes":[…],"edges":[…]}`.
 const NODES_PREFIX: &str = "{\"nodes\":[";
@@ -53,13 +55,6 @@ pub struct GraphJson {
     /// every query path emits rows in ascending [`RowId`] order, which is
     /// what lets [`GraphJson::splice`] two-way merge without sorting.
     pub(crate) edge_spans: Vec<Span>,
-    /// Whether node emission order is the canonical first-seen-in-row
-    /// order of a fresh build ([`build_graph_json`] /
-    /// [`GraphJsonBuilder`]). Spliced payloads ([`GraphJson::splice`])
-    /// keep surviving nodes in their *original* positions, so their order is not reproducible from the rows alone
-    /// — the packed frame encoder (which rebuilds node order from rows
-    /// on the client) only engages when this is `true`.
-    pub canonical: bool,
 }
 
 /// Single-pass payload writer: prefix, node objects, separator, edge
@@ -154,20 +149,19 @@ impl PayloadBuilder {
             edge_count: self.edge_spans.len(),
             node_spans: self.node_spans,
             edge_spans: self.edge_spans,
-            canonical: false,
         }
     }
 }
 
-/// One streamed frame payload sliced out of a [`GraphJson`]: a
-/// self-contained `{"nodes":[…],"edges":[…]}` fragment whose node and
-/// edge bodies are **contiguous byte ranges** of the source payload.
-/// Concatenating the node bodies (and the edge bodies) of every frame of
-/// a stream, in order, reassembles the buffered payload byte-for-byte.
+/// One streamed frame cut out of a payload: the node objects of a
+/// contiguous run of node spans and the edge objects of a contiguous run
+/// of edge spans. Concatenating the node bodies (and the edge bodies) of
+/// every frame of a stream, in order, reassembles the buffered payload
+/// byte-for-byte — for a packed frame, after the client decodes it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphFrame {
-    /// The fragment text, ready to splice into an `ApiFrame::Rows`.
-    pub graph: String,
+    /// The frame's content on the wire.
+    pub body: FrameBody,
     /// Node objects in the fragment.
     pub nodes: usize,
     /// Edge objects in the fragment.
@@ -178,14 +172,108 @@ pub struct GraphFrame {
     pub edge_range: (usize, usize),
 }
 
+/// A [`GraphFrame`]'s content in one of the two `Rows` encodings.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameBody {
+    /// The self-contained `{"nodes":[…],"edges":[…]}` fragment, its two
+    /// bodies copied out of the payload text.
+    Text(String),
+    /// The same nodes and edges as a packed image (see
+    /// [`gvdb_api::pack`]), decoding to exactly the [`FrameBody::Text`]
+    /// fragment.
+    Packed(PackedImage),
+}
+
+impl GraphFrame {
+    /// The fragment text of a [`FrameBody::Text`] frame.
+    pub fn text(&self) -> Option<&str> {
+        match &self.body {
+            FrameBody::Text(graph) => Some(graph),
+            FrameBody::Packed(_) => None,
+        }
+    }
+
+    /// The `Rows` batch that carries this frame.
+    pub fn into_batch(self, reused: bool) -> RowBatch {
+        match self.body {
+            FrameBody::Text(graph) => RowBatch::Graph {
+                graph,
+                nodes: self.nodes as u64,
+                edges: self.edges as u64,
+                reused,
+            },
+            FrameBody::Packed(image) => RowBatch::Packed { image, reused },
+        }
+    }
+}
+
+/// The text of one frame: a node-span run and an edge-span run of
+/// payload text, wrapped in the payload skeleton.
+fn frame_text(nodes: (&[Span], &str), edges: (&[Span], &str)) -> String {
+    fn run<'t>((spans, text): (&[Span], &'t str)) -> &'t str {
+        match (spans.first(), spans.last()) {
+            (Some(first), Some(last)) => &text[first.start as usize..last.end as usize],
+            _ => "",
+        }
+    }
+    let (node_run, edge_run) = (run(nodes), run(edges));
+    let mut graph = String::with_capacity(
+        NODES_PREFIX.len() + node_run.len() + EDGES_SEP.len() + edge_run.len() + SUFFIX.len(),
+    );
+    graph.push_str(NODES_PREFIX);
+    graph.push_str(node_run);
+    graph.push_str(EDGES_SEP);
+    graph.push_str(edge_run);
+    graph.push_str(SUFFIX);
+    graph
+}
+
+/// Pack one frame straight from the rows its payload was built from:
+/// each node `(id, i)` takes its label and position from `rows[i]`, a
+/// row that references it, and each row of `edges` is one edge. Every
+/// row naming a node carries the same label and canonical position
+/// (the insert path rejects a row that would not), so the image decodes
+/// to the node objects the payload text holds.
+fn pack_frame(
+    rows: &[(RowId, EdgeRow)],
+    nodes: impl Iterator<Item = (u64, usize)>,
+    edges: &[(RowId, EdgeRow)],
+) -> PackedImage {
+    let mut w = ImageWriter::with_capacity(nodes.size_hint().0, edges.len());
+    for (id, i) in nodes {
+        let (_, row) = rows
+            .get(i)
+            .expect("every payload node is referenced by one of its rows");
+        let g = &row.geometry;
+        if row.node1_id == id {
+            w.node(id, &row.node1_label, g.x1.to_bits(), g.y1.to_bits());
+        } else {
+            debug_assert_eq!(row.node2_id, id, "node's row does not reference it");
+            w.node(id, &row.node2_label, g.x2.to_bits(), g.y2.to_bits());
+        }
+    }
+    for (rid, row) in edges {
+        w.edge(
+            rid.to_u64(),
+            row.node1_id,
+            row.node2_id,
+            &row.edge_label,
+            row.geometry.directed,
+        );
+    }
+    w.finish()
+}
+
 /// Iterator slicing a built payload into streamed frames — see
 /// [`GraphJson::frame_slices`].
 pub struct FrameSlices<'a> {
     json: &'a GraphJson,
+    rows: &'a [(RowId, EdgeRow)],
     /// Per node span (payload order): the index of the first edge that
-    /// references the node, or `usize::MAX` if no streamed edge does.
+    /// references the node.
     first_ref: Vec<usize>,
     chunk: usize,
+    packed: bool,
     n: usize,
     e: usize,
 }
@@ -211,18 +299,17 @@ impl Iterator for FrameSlices<'_> {
                 n_end += 1;
             }
         }
-        let mut graph = String::with_capacity(128);
-        graph.push_str(NODES_PREFIX);
-        if self.n < n_end {
-            let (first, last) = (&nodes[self.n], &nodes[n_end - 1]);
-            graph.push_str(&self.json.text[first.start as usize..last.end as usize]);
-        }
-        graph.push_str(EDGES_SEP);
-        let (first, last) = (&edges[self.e], &edges[e_end - 1]);
-        graph.push_str(&self.json.text[first.start as usize..last.end as usize]);
-        graph.push_str(SUFFIX);
+        let body = if self.packed {
+            let node_rows = (self.n..n_end).map(|k| (nodes[k].id, self.first_ref[k]));
+            FrameBody::Packed(pack_frame(self.rows, node_rows, &self.rows[self.e..e_end]))
+        } else {
+            FrameBody::Text(frame_text(
+                (&nodes[self.n..n_end], &self.json.text),
+                (&edges[self.e..e_end], &self.json.text),
+            ))
+        };
         let frame = GraphFrame {
-            graph,
+            body,
             nodes: n_end - self.n,
             edges: e_end - self.e,
             edge_range: (self.e, e_end),
@@ -240,42 +327,56 @@ impl GraphJson {
     }
 
     /// Slice this payload into streamed frames of at most `chunk` edges
-    /// each, **without re-serializing anything**: every frame body is two
-    /// contiguous `memcpy`s out of `text` (one node run, one edge run)
-    /// wrapped in the payload skeleton. `rows` must be the row slice the
-    /// payload was built from (one row per edge span, same order) — it
-    /// supplies the edge→node endpoints the span index doesn't record,
-    /// so each frame can carry the nodes its edges introduce. For
-    /// cold-built payloads every edge's endpoints are delivered in its
-    /// own or an earlier frame; spliced payloads keep byte-identical
+    /// each, **without re-serializing anything**: every plain frame body
+    /// is two contiguous `memcpy`s out of `text` (one node run, one edge
+    /// run) wrapped in the payload skeleton. `rows` must be the row slice
+    /// the payload was built from (one row per edge span, same order) —
+    /// it supplies the edge→node endpoints the span index doesn't
+    /// record, so each frame can carry the nodes its edges introduce.
+    /// For cold-built payloads every edge's endpoints are delivered in
+    /// its own or an earlier frame; spliced payloads keep byte-identical
     /// reassembly but may deliver some arrival nodes in a later frame
     /// (clients merge by id, so this only defers paint of those nodes).
     ///
+    /// With `packed`, every frame — cold-built, cached or spliced — is
+    /// packed instead: the same node-span run, each node's fields read
+    /// off the first row that references it, and the same edges.
+    ///
     /// An empty payload yields no frames.
-    pub fn frame_slices(&self, rows: &[(RowId, EdgeRow)], chunk: usize) -> FrameSlices<'_> {
+    pub fn frame_slices<'a>(
+        &'a self,
+        rows: &'a [(RowId, EdgeRow)],
+        chunk: usize,
+        packed: bool,
+    ) -> FrameSlices<'a> {
         debug_assert_eq!(rows.len(), self.edge_spans.len());
-        let mut span_of: Vec<(u64, usize)> = self
-            .node_spans
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.id, i))
-            .collect();
-        span_of.sort_unstable();
+        let mut span_of =
+            HashMap::with_capacity_and_hasher(self.node_spans.len(), FastHash::default());
+        for (k, s) in self.node_spans.iter().enumerate() {
+            span_of.insert(s.id, k);
+        }
         let mut first_ref = vec![usize::MAX; self.node_spans.len()];
-        for (i, (_, row)) in rows.iter().enumerate().take(self.edge_spans.len()) {
+        let mut unseen = first_ref.len();
+        for (i, (_, row)) in rows.iter().enumerate() {
+            if unseen == 0 {
+                break;
+            }
             for id in [row.node1_id, row.node2_id] {
-                if let Ok(k) = span_of.binary_search_by_key(&id, |&(id, _)| id) {
-                    let slot = &mut first_ref[span_of[k].1];
-                    if *slot == usize::MAX {
-                        *slot = i;
+                if let Some(&k) = span_of.get(&id) {
+                    if first_ref[k] == usize::MAX {
+                        first_ref[k] = i;
+                        unseen -= 1;
                     }
                 }
             }
         }
+        debug_assert_eq!(unseen, 0, "a payload node no row references");
         FrameSlices {
             json: self,
+            rows,
             first_ref,
             chunk: chunk.max(1),
+            packed,
             n: 0,
             e: 0,
         }
@@ -388,7 +489,8 @@ fn write_edge(buf: &mut String, rid64: u64, row: &EdgeRow) {
 /// chunk-at-a-time ([`GraphJsonBuilder::push_rows`]), each chunk's newly
 /// written bytes can be handed out immediately as a self-contained
 /// streamed frame ([`GraphJsonBuilder::take_frame`] — two `memcpy`s, no
-/// re-serialization), and [`GraphJsonBuilder::finish`] assembles the
+/// re-serialization, or a packed image of the nodes the builder's own
+/// deduplication chose), and [`GraphJsonBuilder::finish`] assembles the
 /// exact payload a one-shot [`build_graph_json`] over the same rows
 /// would produce. One serialization pass thus feeds the streamed
 /// frames, the window-cache entry, and the buffered envelope alike.
@@ -403,7 +505,9 @@ pub struct GraphJsonBuilder {
     edges: String,
     node_spans: Vec<Span>,
     edge_spans: Vec<Span>,
-    seen: HashSet<u64>,
+    seen: HashSet<u64, FastHash>,
+    /// Per node span: the index of the row that introduced the node.
+    node_rows: Vec<usize>,
     /// Span-index watermarks of the previous [`GraphJsonBuilder::take_frame`].
     node_mark: usize,
     edge_mark: usize,
@@ -419,7 +523,8 @@ impl GraphJsonBuilder {
             edges: String::with_capacity(bytes / 2 + 32),
             node_spans: Vec::new(),
             edge_spans: Vec::new(),
-            seen: HashSet::new(),
+            seen: HashSet::default(),
+            node_rows: Vec::new(),
             node_mark: 0,
             edge_mark: 0,
         }
@@ -453,6 +558,7 @@ impl GraphJsonBuilder {
                     write_node(&mut self.nodes, id, label, x, y);
                     let end = self.nodes.len() as u32;
                     self.node_spans.push(Span { id, start, end });
+                    self.node_rows.push(self.edge_spans.len());
                 }
             }
             let rid64 = rid.to_u64();
@@ -476,25 +582,31 @@ impl GraphJsonBuilder {
     /// new was pushed. Concatenating every taken frame's node and edge
     /// bodies reassembles [`GraphJsonBuilder::finish`]'s payload
     /// byte-for-byte.
-    pub fn take_frame(&mut self) -> Option<GraphFrame> {
+    ///
+    /// `packed` — every row pushed so far, in push order — asks for the
+    /// frame as a packed image instead, each node read off the row that
+    /// introduced it.
+    pub fn take_frame(&mut self, packed: Option<&[(RowId, EdgeRow)]>) -> Option<GraphFrame> {
         let (n, e) = (self.node_spans.len(), self.edge_spans.len());
         if n == self.node_mark && e == self.edge_mark {
             return None;
         }
-        let mut graph = String::with_capacity(128);
-        graph.push_str(NODES_PREFIX);
-        if self.node_mark < n {
-            let (first, last) = (&self.node_spans[self.node_mark], &self.node_spans[n - 1]);
-            graph.push_str(&self.nodes[first.start as usize..last.end as usize]);
-        }
-        graph.push_str(EDGES_SEP);
-        if self.edge_mark < e {
-            let (first, last) = (&self.edge_spans[self.edge_mark], &self.edge_spans[e - 1]);
-            graph.push_str(&self.edges[first.start as usize..last.end as usize]);
-        }
-        graph.push_str(SUFFIX);
+        let (nodes, edges) = (self.node_mark..n, self.edge_mark..e);
+        let body = match packed {
+            Some(rows) => {
+                debug_assert_eq!(rows.len(), e, "packing needs every pushed row");
+                let node_rows = nodes
+                    .clone()
+                    .map(|k| (self.node_spans[k].id, self.node_rows[k]));
+                FrameBody::Packed(pack_frame(rows, node_rows, &rows[edges]))
+            }
+            None => FrameBody::Text(frame_text(
+                (&self.node_spans[nodes], &self.nodes),
+                (&self.edge_spans[edges], &self.edges),
+            )),
+        };
         let frame = GraphFrame {
-            graph,
+            body,
             nodes: n - self.node_mark,
             edges: e - self.edge_mark,
             edge_range: (self.edge_mark, e),
@@ -528,7 +640,6 @@ impl GraphJsonBuilder {
             edge_count: self.edge_spans.len(),
             node_spans: self.node_spans,
             edge_spans: self.edge_spans,
-            canonical: true,
         }
     }
 }
@@ -670,6 +781,22 @@ mod tests {
         (rid, r)
     }
 
+    /// Packed frames carry exactly their text twins: same ranges, and
+    /// each image decodes to the twin's fragment byte for byte.
+    fn assert_packed_twins(text: &[GraphFrame], packed: &[GraphFrame]) {
+        assert_eq!(text.len(), packed.len());
+        for (t, p) in text.iter().zip(packed) {
+            let FrameBody::Packed(image) = &p.body else {
+                panic!("frame {:?} is not packed", p.edge_range);
+            };
+            assert_eq!(
+                (p.nodes, p.edges, p.edge_range),
+                (t.nodes, t.edges, t.edge_range)
+            );
+            assert_eq!(Some(image.to_graph_fragment().as_str()), t.text());
+        }
+    }
+
     /// Every span must slice exactly the object the scanner sees.
     fn check_spans(json: &GraphJson) {
         let (nodes, edges) = scan::split_arrays(&json.text);
@@ -796,14 +923,14 @@ mod tests {
         // on a span-run boundary (between consecutive edge spans).
         let rows: Vec<_> = (0..6).map(|i| crow(i, i + 1, "e")).collect();
         let json = build_graph_json(&rows);
-        let frames: Vec<_> = json.frame_slices(&rows, 2).collect();
+        let frames: Vec<_> = json.frame_slices(&rows, 2, false).collect();
         assert_eq!(frames.len(), 3);
         assert!(frames.iter().all(|f| f.edges == 2));
         assert_eq!(
             frames.iter().map(|f| f.nodes).sum::<usize>(),
             json.node_count
         );
-        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.graph.as_str())).unwrap();
+        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.text().unwrap())).unwrap();
         assert_eq!(glued, json.text);
     }
 
@@ -826,9 +953,9 @@ mod tests {
         // A splice that removes interior runs equals a cold build over
         // the surviving rows, so the slices match that build too.
         assert_eq!(kept.text, build_graph_json(&kept_rows).text);
-        let frames: Vec<_> = kept.frame_slices(&kept_rows, 2).collect();
+        let frames: Vec<_> = kept.frame_slices(&kept_rows, 2, false).collect();
         assert_eq!(frames.len(), 2);
-        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.graph.as_str())).unwrap();
+        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.text().unwrap())).unwrap();
         assert_eq!(glued, kept.text);
     }
 
@@ -836,14 +963,17 @@ mod tests {
     fn single_frame_when_chunk_exceeds_rows() {
         let rows = vec![row(1, 2, "a"), row(2, 3, "b")];
         let json = build_graph_json(&rows);
-        let frames: Vec<_> = json.frame_slices(&rows, 100).collect();
+        let frames: Vec<_> = json.frame_slices(&rows, 100, false).collect();
         assert_eq!(frames.len(), 1);
         // One frame of everything is the payload itself, byte-for-byte.
-        assert_eq!(frames[0].graph, json.text);
+        assert_eq!(frames[0].text(), Some(json.text.as_str()));
         assert_eq!(frames[0].nodes, json.node_count);
         assert_eq!(frames[0].edges, json.edge_count);
         // An empty payload yields no frames at all.
-        assert!(build_graph_json(&[]).frame_slices(&[], 4).next().is_none());
+        assert!(build_graph_json(&[])
+            .frame_slices(&[], 4, false)
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -856,18 +986,18 @@ mod tests {
             })
             .collect();
         let mut b = GraphJsonBuilder::with_capacity(64);
-        assert!(b.take_frame().is_none(), "nothing pushed yet");
+        assert!(b.take_frame(None).is_none(), "nothing pushed yet");
         let mut frames = Vec::new();
         for chunk in rows.chunks(3) {
             b.push_rows(chunk);
-            frames.push(b.take_frame().expect("non-empty chunk"));
-            assert!(b.take_frame().is_none(), "watermarks advanced");
+            frames.push(b.take_frame(None).expect("non-empty chunk"));
+            assert!(b.take_frame(None).is_none(), "watermarks advanced");
         }
         assert_eq!(b.rows(), rows.len());
         let json = b.finish();
         assert_eq!(json.text, build_graph_json(&rows).text);
         check_spans(&json);
-        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.graph.as_str())).unwrap();
+        let glued = gvdb_api::reassemble_graph(frames.iter().map(|f| f.text().unwrap())).unwrap();
         assert_eq!(glued, json.text);
     }
 
@@ -895,7 +1025,8 @@ mod tests {
         use proptest::prelude::*;
 
         /// Rows with ascending, distinct row ids; labels range over JSON
-        /// metacharacters so escaping is exercised.
+        /// metacharacters so escaping is exercised. A node has one
+        /// position wherever it appears, as in a stored layer.
         fn arb_rows() -> impl Strategy<Value = Vec<(RowId, EdgeRow)>> {
             prop::collection::vec((0u64..40, 0u64..40, "[a-z\"\\\\{},:\\[\\]]{0,8}"), 1..60)
                 .prop_map(|specs| {
@@ -903,7 +1034,7 @@ mod tests {
                         .into_iter()
                         .enumerate()
                         .map(|(i, (a, b, label))| {
-                            let (mut rid, r) = row(a, b, &label);
+                            let (mut rid, r) = crow(a, b, &label);
                             rid.slot = i as u16;
                             (rid, r)
                         })
@@ -924,7 +1055,9 @@ mod tests {
                 chunk in 1usize..70,
             ) {
                 let json = build_graph_json(&rows);
-                let frames: Vec<_> = json.frame_slices(&rows, chunk).collect();
+                let frames: Vec<_> = json.frame_slices(&rows, chunk, false).collect();
+                let packed: Vec<_> = json.frame_slices(&rows, chunk, true).collect();
+                assert_packed_twins(&frames, &packed);
                 prop_assert_eq!(
                     frames.iter().map(|f| f.nodes).sum::<usize>(),
                     json.node_count
@@ -934,7 +1067,7 @@ mod tests {
                     json.edge_count
                 );
                 let glued = gvdb_api::reassemble_graph(
-                    frames.iter().map(|f| f.graph.as_str()),
+                    frames.iter().map(|f| f.text().unwrap()),
                 )
                 .unwrap();
                 prop_assert_eq!(glued, json.text.clone());
@@ -962,19 +1095,24 @@ mod tests {
                 cut in 1usize..20,
             ) {
                 let mut b = GraphJsonBuilder::with_capacity(rows.len() * 96);
-                let mut frames = Vec::new();
-                for chunk in rows.chunks(cut) {
+                let mut p = GraphJsonBuilder::with_capacity(rows.len() * 96);
+                let (mut frames, mut packed) = (Vec::new(), Vec::new());
+                for (k, chunk) in rows.chunks(cut).enumerate() {
                     b.push_rows(chunk);
-                    if let Some(f) = b.take_frame() {
+                    p.push_rows(chunk);
+                    if let Some(f) = b.take_frame(None) {
                         frames.push(f);
                     }
+                    let pushed = &rows[..(rows.len()).min((k + 1) * cut)];
+                    packed.extend(p.take_frame(Some(pushed)));
                 }
-                prop_assert!(b.take_frame().is_none());
+                prop_assert!(b.take_frame(None).is_none());
+                assert_packed_twins(&frames, &packed);
                 let json = b.finish();
                 prop_assert_eq!(&json.text, &build_graph_json(&rows).text);
                 check_spans(&json);
                 let glued = gvdb_api::reassemble_graph(
-                    frames.iter().map(|f| f.graph.as_str()),
+                    frames.iter().map(|f| f.text().unwrap()),
                 )
                 .unwrap();
                 prop_assert_eq!(glued, json.text.clone());
@@ -1014,12 +1152,67 @@ mod tests {
                     .collect();
                 drop_nodes.sort_unstable();
                 let kept = json.splice(&drop_edges, &drop_nodes, &build_graph_json(&[]), &[]);
-                let frames: Vec<_> = kept.frame_slices(&kept_rows, chunk).collect();
+                let frames: Vec<_> = kept.frame_slices(&kept_rows, chunk, false).collect();
                 let glued = gvdb_api::reassemble_graph(
-                    frames.iter().map(|f| f.graph.as_str()),
+                    frames.iter().map(|f| f.text().unwrap()),
                 )
                 .unwrap();
                 prop_assert_eq!(glued, kept.text.clone());
+                let packed: Vec<_> = kept.frame_slices(&kept_rows, chunk, true).collect();
+                assert_packed_twins(&frames, &packed);
+            }
+
+            /// A delta-shaped splice — departures out of an anchor,
+            /// arrivals spliced in — packs every frame in the splice's
+            /// node order, each decoding to its text twin.
+            #[test]
+            fn delta_splices_pack_like_their_text(
+                rows in arb_rows(),
+                mask in prop::collection::vec(any::<bool>(), 60..61),
+                split in 0usize..60,
+                chunk in 1usize..70,
+            ) {
+                let split = split.min(rows.len());
+                let (anchor_rows, arrivals) = rows.split_at(split);
+                let anchor = build_graph_json(anchor_rows);
+                let departed = |i: usize| mask[i % mask.len()];
+                let drop_edges: Vec<u64> = anchor_rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| departed(*i))
+                    .map(|(_, (rid, _))| rid.to_u64())
+                    .collect();
+                // Arrival row ids all follow the anchor's: the merged
+                // rows are the kept anchor rows, then the arrivals.
+                let merged: Vec<_> = anchor_rows
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| !departed(*i))
+                    .map(|(_, r)| r.clone())
+                    .chain(arrivals.iter().cloned())
+                    .collect();
+                let ids = |rows: &[(RowId, EdgeRow)]| -> HashSet<u64> {
+                    rows.iter().flat_map(|(_, r)| [r.node1_id, r.node2_id]).collect()
+                };
+                let (old_ids, new_ids) = (ids(anchor_rows), ids(&merged));
+                let mut drop_nodes: Vec<u64> = old_ids.difference(&new_ids).copied().collect();
+                let mut new_nodes: Vec<u64> = new_ids.difference(&old_ids).copied().collect();
+                drop_nodes.sort_unstable();
+                new_nodes.sort_unstable();
+                let spliced = anchor.splice(
+                    &drop_edges,
+                    &drop_nodes,
+                    &build_graph_json(arrivals),
+                    &new_nodes,
+                );
+                let frames: Vec<_> = spliced.frame_slices(&merged, chunk, false).collect();
+                let glued = gvdb_api::reassemble_graph(
+                    frames.iter().map(|f| f.text().unwrap()),
+                )
+                .unwrap();
+                prop_assert_eq!(glued, spliced.text.clone());
+                let packed: Vec<_> = spliced.frame_slices(&merged, chunk, true).collect();
+                assert_packed_twins(&frames, &packed);
             }
         }
     }

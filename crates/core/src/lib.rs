@@ -59,7 +59,7 @@ pub use birdview::Birdview;
 pub use cache::{CacheConfig, CacheStats, WindowCache};
 pub use client::{ClientCost, ClientModel};
 pub use filter::{aggregate_rows, AccessPath, CompiledFilter, FilterMode};
-pub use json::{build_graph_json, GraphFrame, GraphJson, GraphJsonBuilder};
+pub use json::{build_graph_json, FrameBody, GraphFrame, GraphJson, GraphJsonBuilder};
 pub use organizer::{organize_partitions, OrganizedLayout, OrganizerConfig};
 pub use outbox::{Outbox, OutboxStatus, PushError};
 pub use preprocess::{

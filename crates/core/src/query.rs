@@ -267,8 +267,7 @@ impl<'a> ColdWindowStream<'a> {
 
     /// Every row emitted so far, in emission order. A frame returned by
     /// [`ColdWindowStream::next_chunk`] covers `edge_range` indexes of
-    /// this slice — what the packed-frame encoder reads to re-derive the
-    /// frame's content from rows instead of re-parsing its JSON.
+    /// this slice.
     pub fn rows_so_far(&self) -> &[(RowId, EdgeRow)] {
         &self.rows
     }
@@ -293,8 +292,13 @@ impl<'a> ColdWindowStream<'a> {
     /// quarter chunk, so the first rows leave after a short fetch.
     /// `None` once every candidate has been consumed. Chunks whose
     /// candidates all fail the filter are skipped, so a returned frame
-    /// always carries at least one edge.
-    pub fn next_chunk(&mut self, chunk_rows: usize) -> Result<Option<crate::json::GraphFrame>> {
+    /// always carries at least one edge. With `packed` the frame is the
+    /// packed image of the same rows.
+    pub fn next_chunk(
+        &mut self,
+        chunk_rows: usize,
+        packed: bool,
+    ) -> Result<Option<crate::json::GraphFrame>> {
         // Re-acquiring below while still pinned could deadlock behind a
         // queued writer.
         self.unpin();
@@ -336,7 +340,10 @@ impl<'a> ColdWindowStream<'a> {
             }
             self.builder.push_rows(&kept);
             self.rows.append(&mut kept);
-            return Ok(Some(self.builder.take_frame().expect("non-empty chunk")));
+            let frame = self
+                .builder
+                .take_frame(packed.then_some(self.rows.as_slice()));
+            return Ok(Some(frame.expect("non-empty chunk")));
         }
         Ok(None)
     }
@@ -541,8 +548,16 @@ impl QueryManager {
     /// of other layers stay warm — each layer is an independent table, so
     /// they can never serve stale rows for this edit. Concurrent readers
     /// are blocked only for the duration of the row insert itself.
+    ///
+    /// A node is one object wherever rows name it: a row whose endpoint
+    /// reuses a stored node id with another label, or at another
+    /// position in its canonical wire form, is
+    /// [`StorageError::InvalidRow`] and nothing is written. Delta
+    /// splices keep a node's first fragment and packed frames read a
+    /// node off any row naming it, so both rely on this.
     pub fn insert_row(&self, layer: usize, row: &EdgeRow) -> Result<RowId> {
         let mut db = self.db.write();
+        check_node_identity(&db, layer, row)?;
         let rid = db.insert_row(layer, row)?;
         self.bump_epoch(layer);
         self.cache.invalidate_layer(layer);
@@ -1040,8 +1055,7 @@ impl QueryManager {
     }
 
     /// Filter an already-built (cached or delta-spliced) response and
-    /// rebuild the payload over the survivors. The filtered payload is
-    /// canonical (freshly built), so packed streaming still applies.
+    /// rebuild the payload over the survivors.
     /// Only the delta arrivals that survive the filter tag the result.
     fn filter_built(&self, filter: &CompiledFilter, built: WindowResponse) -> WindowResponse {
         let t = Instant::now();
@@ -1395,6 +1409,47 @@ fn in_window(row: &EdgeRow, window: &Rect, exact: bool) -> bool {
     exact || crosses()
 }
 
+/// Reject a row whose endpoints disagree with each other or with the
+/// stored rows about a node's label or canonical position (see
+/// [`QueryManager::insert_row`]).
+fn check_node_identity(db: &GraphDb, layer: usize, row: &EdgeRow) -> Result<()> {
+    let table = db
+        .layer(layer)
+        .ok_or_else(|| StorageError::LayerNotFound(format!("index {layer}")))?;
+    let wire = |v: f64| {
+        let mut text = String::new();
+        gvdb_api::pack::push_f64_json(&mut text, v);
+        text
+    };
+    let g = &row.geometry;
+    let ends = [
+        (row.node1_id, &row.node1_label, g.x1, g.y1),
+        (row.node2_id, &row.node2_label, g.x2, g.y2),
+    ];
+    let same = |label: &str, x: f64, y: f64, other: (&str, f64, f64)| {
+        label == other.0 && wire(x) == wire(other.1) && wire(y) == wire(other.2)
+    };
+    let [(id1, label1, x1, y1), (id2, label2, x2, y2)] = ends;
+    if id1 == id2 && !same(label1, x1, y1, (label2, x2, y2)) {
+        return Err(StorageError::InvalidRow(format!(
+            "the two endpoints of node {id1} differ in label or position"
+        )));
+    }
+    for (id, label, x, y) in ends {
+        if let Some((at, stored)) = table.node_position(db.pool(), id)? {
+            if !same(label, x, y, (&stored, at.x, at.y)) {
+                return Err(StorageError::InvalidRow(format!(
+                    "node {id} is stored as {stored:?} at ({}, {}); a row may not \
+                     give it another label or position",
+                    wire(at.x),
+                    wire(at.y)
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Debug builds check what the R-tree guarantees: every row it returned
 /// for `window` has an edge crossing it.
 fn debug_assert_in_window(rows: &[(RowId, EdgeRow)], window: &Rect) {
@@ -1705,7 +1760,7 @@ mod tests {
         let StreamPlan::Cold(mut cold) = qm.window_plan(&spec).unwrap() else {
             panic!("nothing cached: the plan is cold")
         };
-        while cold.next_chunk(4).unwrap().is_some() {}
+        while cold.next_chunk(4, false).unwrap().is_some() {}
         assert_eq!(cold.rows_so_far(), expected.as_slice());
 
         let (agg, _) = qm
@@ -1718,6 +1773,87 @@ mod tests {
             )
             .unwrap();
         assert_eq!(agg.rows, expected.len() as u64);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The node objects of a payload, in id order.
+    fn node_objects(json: &GraphJson) -> Vec<&str> {
+        let mut spans = json.node_spans.clone();
+        spans.sort_unstable_by_key(|s| s.id);
+        spans
+            .iter()
+            .map(|s| &json.text[s.start as usize..s.end as usize])
+            .collect()
+    }
+
+    /// A node is one object across rows. An insert reusing the node of a
+    /// row that a pan drops, with another label or position, would leave
+    /// the delta payload holding the node's old fragment while a cold
+    /// read prints the new row's (3 of these 20 strip rows did, before
+    /// such inserts were refused); it is refused and writes nothing, and
+    /// the pan's delta agrees with the cold read node for node.
+    #[test]
+    fn inserts_keep_one_label_and_position_per_node() {
+        let (qm, path) = manager("nodeident");
+        let (w1, w2) = (
+            Rect::new(0.0, 0.0, 2000.0, 2000.0),
+            Rect::new(400.0, 0.0, 2400.0, 2000.0),
+        );
+        let strips: Vec<EdgeRow> = cold_rows(&qm, 0, &w1)
+            .into_iter()
+            .map(|(_, r)| r)
+            .filter(|r| !r.geometry.segment().intersects_rect(&w2))
+            .take(20)
+            .collect();
+        assert!(!strips.is_empty(), "rows only in the dropped strip");
+        let probe_of = |node: u64, label: &str, x: f64, y: f64| EdgeRow {
+            node1_id: node,
+            node1_label: label.into(),
+            geometry: gvdb_storage::EdgeGeometry {
+                x1: x,
+                y1: y,
+                x2: 1000.0,
+                y2: 1000.0,
+                directed: false,
+            },
+            edge_label: "probe".into(),
+            node2_id: 9_000_001,
+            node2_label: "probe-far".into(),
+        };
+        let rows = || qm.db().layer(0).unwrap().row_count();
+        let before = rows();
+        for strip in &strips {
+            let (node, label) = (strip.node1_id, &strip.node1_label);
+            let (x, y) = (strip.geometry.x1, strip.geometry.y1);
+            let probe = |label: &str, x: f64, y: f64| probe_of(node, label, x, y);
+            let mut self_loop = probe(label, x, y);
+            self_loop.node2_id = node;
+            for bad in [
+                probe("moved", 1000.0, 1000.0),
+                probe(label, 1000.0, 1000.0),
+                probe("moved", x, y),
+                probe(label, x + 0.01, y),
+                self_loop,
+            ] {
+                let err = qm.insert_row(0, &bad).unwrap_err();
+                assert!(matches!(err, StorageError::InvalidRow(_)), "{err}");
+            }
+        }
+        assert_eq!(rows(), before, "nothing written");
+        assert_eq!(qm.layer_epoch(0), 0, "epoch unchanged");
+
+        // Restating a node is fine, down to coordinate bits below the
+        // canonical two decimals.
+        let strip = &strips[0];
+        let next_up = |v: f64| f64::from_bits(v.to_bits() + 1);
+        let (x, y) = (next_up(strip.geometry.x1), strip.geometry.y1);
+        qm.insert_row(0, &probe_of(strip.node1_id, &strip.node1_label, x, y))
+            .unwrap();
+        qm.window_query(0, &w1).unwrap();
+        let delta = qm.window_query_anchored(0, &w2, Some(&w1)).unwrap();
+        assert!(delta.delta);
+        let cold = build_graph_json(&cold_rows(&qm, 0, &w2));
+        assert_eq!(node_objects(&delta.json), node_objects(&cold));
         std::fs::remove_file(&path).ok();
     }
 

@@ -34,9 +34,9 @@ use crate::registry::SessionId;
 use crate::workspace::SharedWorkspace;
 use gvdb_api::{
     AggregateDto, ApiError, ApiFrame, ApiRequest, ApiResponse, ApiResult, ChooserStatsDto,
-    DatasetInfo, DatasetStats, EdgeDto, FrameHeader, LayerInfo, LayerStatsDto, PackedEdge,
-    PackedNode, PackedRows, Predicate, ProgressFrame, RectDto, RowBatch, SearchHitDto,
-    SessionStatsDto, Source, StatsDto, TrailerFrame, WindowMeta,
+    DatasetInfo, DatasetStats, EdgeDto, FrameHeader, LayerInfo, LayerStatsDto, Predicate,
+    ProgressFrame, RectDto, RowBatch, SearchHitDto, SessionStatsDto, Source, StatsDto,
+    TrailerFrame, WindowMeta,
 };
 use gvdb_spatial::Rect;
 use gvdb_storage::{EdgeGeometry, EdgeRow, RowId, StorageError};
@@ -649,7 +649,7 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
         } => {
             sink.emit(&header("search", dataset, layer, epoch))?;
             let chunk = qm.client_model().chunk_rows.max(1);
-            let mut out = RowsEmitter::new(false, hits.len(), chunk);
+            let mut out = RowsEmitter::new(hits.len(), chunk);
             for batch in hits.chunks(chunk) {
                 let hits = batch.iter().map(hit_dto).collect();
                 out.send(sink, RowBatch::Hits { hits }, batch.len())?;
@@ -710,8 +710,10 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
 /// panning client repaints kept frames without waiting. A
 /// [`StreamPlan::Cold`] plan runs the **incremental cold path**: each
 /// chunk is heap-fetched under a short re-validated read guard and its
-/// frame is handed to the sink before the next chunk's pages pin. Either
-/// way no frame is re-serialized and no lock is held across
+/// frame is handed to the sink before the next chunk's pages pin. With
+/// `packed`, every frame of either path — spliced delta windows included
+/// — goes out as the packed image of the same node and edge runs.
+/// Either way no frame is re-serialized and no lock is held across
 /// `sink.emit`; the trailer **re-samples the layer epoch**, so an edit
 /// racing the emission shows as a trailer epoch newer than the header's.
 fn emit_window(
@@ -740,16 +742,11 @@ fn emit_window(
     }))?;
     let (rows, rows_reused, rows_fetched, frames) = match plan {
         StreamPlan::Built(resp) => {
-            // Packed frames only for canonical payloads: a spliced delta
-            // keeps surviving nodes in their original positions, an order
-            // the row-driven encoder cannot reproduce — those streams fall
-            // back to plain frames wholesale (the negotiation is "may
-            // pack", not "must").
-            let mut out = RowsEmitter::new(packed && resp.json.canonical, resp.rows.len(), chunk);
+            let mut out = RowsEmitter::new(resp.rows.len(), chunk);
             // Ascending arrival ids against ascending frame ranges: one
             // monotone pointer classifies every frame.
             let mut ai = 0usize;
-            for frame in resp.json.frame_slices(&resp.rows, chunk) {
+            for frame in resp.json.frame_slices(&resp.rows, chunk, packed) {
                 let (start, end) = frame.edge_range;
                 let reused = if resp.cache_hit {
                     true
@@ -763,7 +760,7 @@ fn emit_window(
                 } else {
                     false
                 };
-                out.emit(sink, frame, &resp.rows[start..end], reused)?;
+                out.emit(sink, frame, reused)?;
             }
             (
                 resp.rows.len(),
@@ -773,15 +770,11 @@ fn emit_window(
             )
         }
         StreamPlan::Cold(mut cold) => {
-            // Cold payloads are canonical by construction (incremental
-            // builder), so the negotiated packed encoding applies to every
-            // frame. Progress totals use the candidate count: the row
-            // count of an unfiltered window, an upper bound under a
-            // predicate.
-            let mut out = RowsEmitter::new(packed, cold.candidate_rows(), chunk);
-            while let Some(frame) = cold.next_chunk(chunk).map_err(storage_error)? {
-                let (start, end) = frame.edge_range;
-                out.emit(sink, frame, &cold.rows_so_far()[start..end], false)?;
+            // Progress totals use the candidate count: the row count of
+            // an unfiltered window, an upper bound under a predicate.
+            let mut out = RowsEmitter::new(cold.candidate_rows(), chunk);
+            while let Some(frame) = cold.next_chunk(chunk, packed).map_err(storage_error)? {
+                out.emit(sink, frame, false)?;
             }
             let summary = cold.finish();
             (summary.rows, 0, summary.rows_fetched, out.frames)
@@ -798,12 +791,9 @@ fn emit_window(
 }
 
 /// The `Rows` frame loop shared by every row stream (window frames and
-/// search hits): packed-or-plain window encoding, the frame count, and a
-/// progress frame after each batch of a multi-frame stream.
+/// search hits): the frame count, and a progress frame after each batch
+/// of a multi-frame stream.
 struct RowsEmitter {
-    /// `None` once packing is off: not negotiated, or the derivation
-    /// diverged from the payload.
-    enc: Option<PackedEncoder>,
     many: bool,
     total: u64,
     sent: u64,
@@ -811,9 +801,8 @@ struct RowsEmitter {
 }
 
 impl RowsEmitter {
-    fn new(packed: bool, total: usize, chunk: usize) -> Self {
+    fn new(total: usize, chunk: usize) -> Self {
         RowsEmitter {
-            enc: packed.then(PackedEncoder::new),
             many: total > chunk,
             total: total as u64,
             sent: 0,
@@ -821,33 +810,10 @@ impl RowsEmitter {
         }
     }
 
-    /// Emit one window frame over `rows`, the row slice its payload
-    /// covers.
-    fn emit(
-        &mut self,
-        sink: &mut dyn FrameSink,
-        frame: GraphFrame,
-        rows: &[(RowId, EdgeRow)],
-        reused: bool,
-    ) -> ApiResult<()> {
+    /// Emit one window frame.
+    fn emit(&mut self, sink: &mut dyn FrameSink, frame: GraphFrame, reused: bool) -> ApiResult<()> {
         let edges = frame.edges;
-        let batch = match self.enc.as_mut().map(|enc| enc.frame(rows)) {
-            Some(rows) if rows.nodes.len() == frame.nodes => RowBatch::Packed { rows, reused },
-            derived => {
-                debug_assert!(
-                    derived.is_none(),
-                    "packed derivation diverged from the payload"
-                );
-                self.enc = None;
-                RowBatch::Graph {
-                    graph: frame.graph,
-                    nodes: frame.nodes as u64,
-                    edges: frame.edges as u64,
-                    reused,
-                }
-            }
-        };
-        self.send(sink, batch, edges)
+        self.send(sink, frame.into_batch(reused), edges)
     }
 
     /// Send one `Rows` frame of `rows` rows, then the progress frame of a
@@ -863,63 +829,6 @@ impl RowsEmitter {
             }))?;
         }
         Ok(())
-    }
-}
-
-/// Stream-level packed-frame encoder. Given each frame's row slice (in
-/// emission order), it re-derives the frame's content — nodes
-/// deduplicated across the whole stream, first occurrence wins — which
-/// for a canonical payload is exactly the node emission order of
-/// [`build_graph_json`] / the incremental builder. The caller verifies
-/// the derived node count against the sliced frame's and falls back to
-/// plain frames on any divergence, so a packed stream can never ship
-/// different content than its plain twin.
-struct PackedEncoder {
-    seen: std::collections::HashSet<u64>,
-}
-
-impl PackedEncoder {
-    fn new() -> Self {
-        PackedEncoder {
-            seen: std::collections::HashSet::new(),
-        }
-    }
-
-    fn frame(&mut self, rows: &[(RowId, EdgeRow)]) -> PackedRows {
-        let mut out = PackedRows::default();
-        for (rid, row) in rows {
-            for (id, label, x, y) in [
-                (
-                    row.node1_id,
-                    &row.node1_label,
-                    row.geometry.x1,
-                    row.geometry.y1,
-                ),
-                (
-                    row.node2_id,
-                    &row.node2_label,
-                    row.geometry.x2,
-                    row.geometry.y2,
-                ),
-            ] {
-                if self.seen.insert(id) {
-                    out.nodes.push(PackedNode {
-                        id,
-                        label: label.to_string(),
-                        xbits: x.to_bits(),
-                        ybits: y.to_bits(),
-                    });
-                }
-            }
-            out.edges.push(PackedEdge {
-                rid: rid.to_u64(),
-                source: row.node1_id,
-                target: row.node2_id,
-                label: row.edge_label.to_string(),
-                directed: row.geometry.directed,
-            });
-        }
-        out
     }
 }
 
@@ -1028,6 +937,7 @@ pub fn storage_error(e: StorageError) -> ApiError {
             ApiError::not_found(e.to_string())
         }
         StorageError::LayerExists(_) => ApiError::conflict(e.to_string()),
+        StorageError::InvalidRow(_) => ApiError::bad_request(e.to_string()),
         StorageError::RecordTooLarge(_) => {
             ApiError::new(gvdb_api::ErrorKind::TooLarge, e.to_string())
         }
@@ -1720,8 +1630,8 @@ mod tests {
         assert!(buffered.response.cache_hit);
         assert_eq!(reassembled, buffered.response.json.text);
 
-        // Hit path: the cached canonical payload streams packed too, and
-        // decodes to the same bytes.
+        // Hit path: the cached payload streams packed too, and decodes
+        // to the same bytes.
         let mut sink = crate::FrameBuffer::new();
         qm.call_streamed(&packed_req, &mut sink).unwrap();
         let gvdb_api::ApiFrame::Header(header) = &sink.frames[0] else {
@@ -1736,10 +1646,9 @@ mod tests {
     }
 
     /// Random pans over one dataset: whatever mix of cold, exact-hit and
-    /// spliced-delta payloads each window lands on, a packed stream must
-    /// decode to the exact bytes of the buffered envelope. Non-canonical
-    /// (spliced) payloads are the fallback case — those frames simply
-    /// arrive plain, and the equality still holds.
+    /// spliced-delta payloads each window lands on, every frame of a
+    /// packed stream is packed and the stream decodes to the exact bytes
+    /// of the buffered envelope.
     #[test]
     fn packed_streams_stay_byte_identical_across_random_pans() {
         let g = wikidata_like(RdfConfig {
@@ -1774,6 +1683,7 @@ mod tests {
         }
         let (w, h) = (max_x - min_x, max_y - min_y);
 
+        let mut sources = Vec::new();
         for case in 0..24u32 {
             let mut rng = proptest::TestRng::for_case("packed_pans", case);
             let (fx, fy) = (rng.unit_f64() * 0.7, rng.unit_f64() * 0.7);
@@ -1795,7 +1705,17 @@ mod tests {
             };
             let mut sink = crate::FrameBuffer::new();
             qm.call_streamed(&packed_req, &mut sink).unwrap();
-            let (fragments, _) = decode_rows_frames(&sink);
+            let gvdb_api::ApiFrame::Header(header) = &sink.frames[0] else {
+                panic!("first frame is the header")
+            };
+            sources.push(header.source);
+            let (fragments, packed_frames) = decode_rows_frames(&sink);
+            assert_eq!(
+                packed_frames,
+                fragments.len(),
+                "window {window:?} ({:?}): every frame packs",
+                header.source
+            );
             let reassembled =
                 gvdb_api::reassemble_graph(fragments.iter().map(String::as_str)).unwrap();
             let plain_req = ApiRequest::Window {
@@ -1816,6 +1736,10 @@ mod tests {
                 "window {window:?} diverged"
             );
         }
+        assert!(
+            sources.contains(&Some(Source::Delta)),
+            "some pan spliced a delta window: {sources:?}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

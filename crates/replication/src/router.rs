@@ -159,7 +159,7 @@ impl RouterService {
             let batch = if packed {
                 match merged.next_packed().map_err(peer_error)? {
                     Some(rows) => RowBatch::Packed {
-                        rows,
+                        image: rows.to_image(),
                         reused: false,
                     },
                     None => break,

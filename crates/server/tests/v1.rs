@@ -488,6 +488,68 @@ fn non_finite_edge_coordinate_is_a_400() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A node is one object across rows: an edge that reuses a stored node
+/// id with another label or position is a typed 400, writes nothing and
+/// leaves the epoch alone; the same node restated exactly is accepted.
+#[test]
+fn reusing_a_node_id_with_other_data_is_a_400() {
+    let (qm, path) = rdf_manager("nodeident");
+    let whole = gvdb_spatial::Rect::new(-1e9, -1e9, 1e9, 1e9);
+    let stored = qm.window_query(0, &whole).unwrap().rows[0].1.clone();
+    let rows_before = qm.db().layer(0).unwrap().row_count();
+    let server = Server::start(Arc::new(qm), ServerConfig::default()).unwrap();
+    let insert = |label: &str, x: f64, y: f64| {
+        ApiRequest::InsertEdge {
+            dataset: None,
+            layer: 0,
+            edge: EdgeDto {
+                node1_id: stored.node1_id,
+                node1_label: label.into(),
+                node2_id: 930_001,
+                node2_label: "fresh".into(),
+                edge_label: "reuse".into(),
+                x1: x,
+                y1: y,
+                x2: 1000.0,
+                y2: 1000.0,
+                directed: false,
+            },
+        }
+        .to_json()
+    };
+    let layer0 = |client: &mut Client| {
+        let (_, body) = client.get("/v1/layers");
+        let ApiResponse::Layers { layers, .. } = ApiResponse::from_json(&body).unwrap() else {
+            panic!("not layers: {body}");
+        };
+        (layers[0].rows, layers[0].epoch)
+    };
+    let (x, y) = (stored.geometry.x1, stored.geometry.y1);
+    for bad in [
+        insert("moved", 1000.0, 1000.0),
+        insert("moved", x, y),
+        insert(&stored.node1_label, x + 0.5, y),
+    ] {
+        let mut client = Client::connect(server.addr());
+        let (h, body) = client.request("POST", "/v1/edge", Some(&bad));
+        assert!(h.contains("400 Bad Request"), "{h} {body}");
+        let ApiResponse::Error(e) = ApiResponse::from_json(&body).unwrap() else {
+            panic!("not a typed error: {body}");
+        };
+        assert_eq!(e.kind, gvdb_api::ErrorKind::BadRequest);
+        assert!(e.message.contains("invalid row"), "{}", e.message);
+        let mut client = Client::connect(server.addr());
+        assert_eq!(layer0(&mut client), (rows_before, 0), "nothing written");
+    }
+    let mut client = Client::connect(server.addr());
+    let same = insert(&stored.node1_label, x, y);
+    let (h, body) = client.request("POST", "/v1/edge", Some(&same));
+    assert!(h.contains("200 OK"), "{h} {body}");
+    assert_eq!(layer0(&mut client), (rows_before + 1, 1));
+    server.shutdown();
+    std::fs::remove_file(&path).ok();
+}
+
 /// Per-dataset read-only mode: a 403 with the Forbidden kind, no key
 /// involved.
 #[test]

@@ -20,6 +20,8 @@ pub enum StorageError {
     LayerExists(String),
     /// A record exceeds what a single page can hold.
     RecordTooLarge(usize),
+    /// A row an edit would write contradicts the rows already stored.
+    InvalidRow(String),
 }
 
 impl fmt::Display for StorageError {
@@ -34,6 +36,7 @@ impl fmt::Display for StorageError {
             StorageError::RecordTooLarge(n) => {
                 write!(f, "record of {n} bytes exceeds page capacity")
             }
+            StorageError::InvalidRow(msg) => write!(f, "invalid row: {msg}"),
         }
     }
 }
