@@ -8,14 +8,17 @@
 //! result is a **frame sequence**
 //!
 //! ```text
-//! Header · Rows* · (Progress interleaved) · Trailer
-//!                                         | Error   (terminal failure)
+//! Header · Rows* · Trailer       (window, search, focus)
+//! Header · Summary · Trailer     (aggregate)
+//! Header · … · Error             (terminal failure)
 //! ```
 //!
 //! * [`ApiFrame::Header`] — what is being answered (op, dataset, layer,
-//!   the epoch the rows are consistent with, the window source). Sent
-//!   before any row is fetched into the response, so time-to-first-frame
-//!   is independent of window size.
+//!   the epoch the rows are consistent with, the window source) and the
+//!   row total the stream will carry. Sent before any row is fetched
+//!   into the response, so time-to-first-frame is independent of window
+//!   size; a client shows progress as the sum of [`RowBatch::len`] over
+//!   [`FrameHeader::rows_total`].
 //! * [`ApiFrame::Rows`] — one batch of results: a self-contained graph
 //!   fragment (`{"nodes":[…],"edges":[…]}`, nodes deduplicated across the
 //!   stream — clients merge by id) or a batch of search hits. Graph
@@ -25,7 +28,7 @@
 //!   [`reassemble_graph`]. On delta pans, each frame's `reused` flag says
 //!   whether its rows are pure kept region, so the client can repaint
 //!   those immediately.
-//! * [`ApiFrame::Progress`] — rows sent so far vs total, for progress UI.
+//! * [`ApiFrame::Summary`] — the result of a streamed aggregation.
 //! * [`ApiFrame::Trailer`] — the stats the buffered envelope carries in
 //!   `X-Gvdb-*` headers (source, reused/fetched counts) plus the layer
 //!   epoch **observed at stream end**: if an edit raced the stream, the
@@ -70,6 +73,9 @@ pub struct FrameHeader {
     pub source: Option<Source>,
     /// The session that anchored the query, if any.
     pub session: Option<u64>,
+    /// Rows the stream will carry: exact, except for a filtered cold
+    /// window, where it is the candidate count (an upper bound).
+    pub rows_total: u64,
 }
 
 /// One batch of streamed results.
@@ -144,15 +150,6 @@ impl RowBatch {
     }
 }
 
-/// Rows delivered so far vs the total the stream will carry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProgressFrame {
-    /// Rows emitted in the frames before this one.
-    pub rows_sent: u64,
-    /// Total rows the stream will emit.
-    pub rows_total: u64,
-}
-
 /// The closing frame: the per-response stats the buffered envelope
 /// reports in `X-Gvdb-*` headers, plus the end-of-stream epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -181,10 +178,8 @@ pub enum ApiFrame {
     Header(FrameHeader),
     /// One batch of rows.
     Rows(RowBatch),
-    /// Delivery progress.
-    Progress(ProgressFrame),
     /// The aggregation summary of a streamed `aggregate` result — one
-    /// per stream, between the progress frames and the trailer.
+    /// per stream, between the header and the trailer.
     Summary(AggregateDto),
     /// Stream closing: response stats + end-of-stream epoch.
     Trailer(TrailerFrame),
@@ -198,7 +193,6 @@ impl ApiFrame {
         match self {
             ApiFrame::Header(_) => "header",
             ApiFrame::Rows(_) => "rows",
-            ApiFrame::Progress(_) => "progress",
             ApiFrame::Summary(_) => "summary",
             ApiFrame::Trailer(_) => "trailer",
             ApiFrame::Error(_) => "error",
@@ -267,6 +261,7 @@ impl ApiFrame {
                 if let Some(session) = h.session {
                     members.push(("session".into(), Json::uint(session)));
                 }
+                members.push(("rows_total".into(), Json::uint(h.rows_total)));
             }
             ApiFrame::Rows(RowBatch::Graph { .. }) | ApiFrame::Rows(RowBatch::Packed { .. }) => {
                 unreachable!("graph and packed batches serialize in to_json")
@@ -287,10 +282,6 @@ impl ApiFrame {
                             .collect(),
                     ),
                 ));
-            }
-            ApiFrame::Progress(p) => {
-                members.push(("rows_sent".into(), Json::uint(p.rows_sent)));
-                members.push(("rows_total".into(), Json::uint(p.rows_total)));
             }
             ApiFrame::Summary(s) => {
                 members.push(("result".into(), s.to_value()));
@@ -347,6 +338,7 @@ impl ApiFrame {
                     None => None,
                 },
                 session: v.get("session").and_then(Json::as_u64),
+                rows_total: need_u64(&v, "rows_total")?,
             }),
             "rows" => {
                 if let Some(hits) = v.get("hits") {
@@ -390,10 +382,6 @@ impl ApiFrame {
                     })
                 }
             }
-            "progress" => ApiFrame::Progress(ProgressFrame {
-                rows_sent: need_u64(&v, "rows_sent")?,
-                rows_total: need_u64(&v, "rows_total")?,
-            }),
             "summary" => ApiFrame::Summary(AggregateDto::from_value(need(&v, "result")?)?),
             "trailer" => ApiFrame::Trailer(TrailerFrame {
                 epoch: need_u64(&v, "epoch")?,
@@ -524,6 +512,7 @@ mod tests {
             epoch: 7,
             source: Some(Source::Delta),
             session: Some(41),
+            rows_total: 1024,
         }));
         roundtrip(&ApiFrame::Header(FrameHeader {
             op: "search".into(),
@@ -532,6 +521,7 @@ mod tests {
             epoch: 0,
             source: None,
             session: None,
+            rows_total: 0,
         }));
         roundtrip(&ApiFrame::Rows(RowBatch::Graph {
             graph: "{\"nodes\":[{\"id\":1}],\"edges\":[]}".into(),
@@ -565,10 +555,6 @@ mod tests {
                 x: 1.5,
                 y: -2.0,
             }],
-        }));
-        roundtrip(&ApiFrame::Progress(ProgressFrame {
-            rows_sent: 256,
-            rows_total: 1024,
         }));
         roundtrip(&ApiFrame::Summary(AggregateDto {
             agg: crate::AggOp::Histogram {
@@ -619,8 +605,20 @@ mod tests {
     fn unknown_frames_and_sources_are_typed_errors() {
         let err = ApiFrame::from_json("{\"frame\":\"warble\"}").unwrap_err();
         assert_eq!(err.kind, crate::ErrorKind::BadRequest);
+        // `progress` is no frame kind, and no shim accepts it.
+        let err = ApiFrame::from_json("{\"frame\":\"progress\",\"rows_sent\":1,\"rows_total\":2}")
+            .unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::BadRequest);
+        assert!(err.message.contains("unknown frame"), "{}", err.message);
         let err = ApiFrame::from_json(
-            "{\"frame\":\"header\",\"op\":\"window\",\"dataset\":\"d\",\"layer\":0,\"epoch\":0,\"source\":\"tepid\"}",
+            "{\"frame\":\"header\",\"op\":\"window\",\"dataset\":\"d\",\"layer\":0,\"epoch\":0,\"source\":\"tepid\",\"rows_total\":0}",
+        )
+        .unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::BadRequest);
+        assert!(err.message.contains("source"), "{}", err.message);
+        // The row total is required.
+        let err = ApiFrame::from_json(
+            "{\"frame\":\"header\",\"op\":\"window\",\"dataset\":\"d\",\"layer\":0,\"epoch\":0}",
         )
         .unwrap_err();
         assert_eq!(err.kind, crate::ErrorKind::BadRequest);

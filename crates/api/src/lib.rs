@@ -41,8 +41,8 @@ mod query;
 pub mod repl;
 
 pub use frame::{
-    reassemble_graph, rows_envelope_bytes, ApiFrame, FrameHeader, ProgressFrame, RowBatch,
-    TrailerFrame, DEFAULT_CHUNK_ROWS,
+    reassemble_graph, rows_envelope_bytes, ApiFrame, FrameHeader, RowBatch, TrailerFrame,
+    DEFAULT_CHUNK_ROWS,
 };
 pub use json::{escape_into, Json};
 pub use pack::{ImageWriter, PackedEdge, PackedImage, PackedNode, PackedRows};
@@ -867,7 +867,7 @@ pub enum ApiRequest {
     },
     /// Window aggregation: reduce the filtered window to a summary
     /// ([`AggOp`]) instead of a payload. Streamable — the streamed form
-    /// is `Header · Progress* · Summary · Trailer`, the trailer
+    /// is `Header · Summary · Trailer`, the trailer
     /// re-sampling the epoch like every other stream.
     Aggregate {
         /// Target dataset.

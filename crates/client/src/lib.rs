@@ -37,8 +37,8 @@
 
 use gvdb_api::{
     AggOp, AggregateDto, ApiError, ApiFrame, ApiRequest, ApiResponse, DatasetInfo, EdgeDto,
-    FrameHeader, LayerInfo, Predicate, ProgressFrame, RectDto, RowBatch, SearchHitDto, StatsDto,
-    TrailerFrame, WindowMeta,
+    FrameHeader, LayerInfo, Predicate, RectDto, RowBatch, SearchHitDto, StatsDto, TrailerFrame,
+    WindowMeta,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -366,8 +366,8 @@ impl GvdbClient {
         }
     }
 
-    /// A **streamed** window aggregation: `Header · Progress · Summary ·
-    /// Trailer` over chunked transfer-encoding. Drain the stream (there
+    /// A **streamed** window aggregation: `Header · Summary · Trailer`
+    /// over chunked transfer-encoding. Drain the stream (there
     /// are no row batches), then read [`WindowStream::summary`] and the
     /// trailer — whose epoch is newer than the header's iff an edit
     /// raced the aggregation.
@@ -564,7 +564,6 @@ impl GvdbClient {
         Ok(WindowStream {
             frames,
             header,
-            progress: None,
             summary: None,
             trailer: None,
             pool: Arc::clone(&self.pool),
@@ -828,10 +827,10 @@ impl FrameReader {
 /// Bytes of a malformed body or frame quoted in an error message.
 const EXCERPT_BYTES: usize = 200;
 
-/// `text` cut to at most [`EXCERPT_BYTES`] on a char boundary, marked
-/// when cut — a bad frame can be many KB, and the error only needs its
-/// start.
-fn excerpt(text: &str) -> std::borrow::Cow<'_, str> {
+/// `text` cut to at most `EXCERPT_BYTES` (200) on a char boundary,
+/// marked when cut — a bad frame or response can be many KB, and an
+/// error message only needs its start.
+pub fn excerpt(text: &str) -> std::borrow::Cow<'_, str> {
     if text.len() <= EXCERPT_BYTES {
         return text.into();
     }
@@ -852,7 +851,6 @@ pub struct WindowStream {
     frames: FrameReader,
     /// The stream's opening frame — dataset, layer, epoch, source.
     pub header: FrameHeader,
-    progress: Option<ProgressFrame>,
     summary: Option<AggregateDto>,
     trailer: Option<TrailerFrame>,
     pool: Arc<ConnectionPool>,
@@ -879,10 +877,10 @@ pub struct RecvBatch {
 }
 
 impl WindowStream {
-    /// The next row batch, `Ok(None)` once the stream is exhausted.
-    /// Progress frames are absorbed (visible via
-    /// [`WindowStream::progress`]); a terminal `Error` frame surfaces as
-    /// [`ClientError::Api`].
+    /// The next row batch, `Ok(None)` once the stream is exhausted. The
+    /// sum of the batches' [`RowBatch::len`] over
+    /// [`FrameHeader::rows_total`] is the stream's progress; a terminal
+    /// `Error` frame surfaces as [`ClientError::Api`].
     pub fn next_batch(&mut self) -> Result<Option<RowBatch>> {
         Ok(self.next_batch_timed()?.map(|r| r.batch))
     }
@@ -921,7 +919,6 @@ impl WindowStream {
                     self.rows_wire_bytes += self.frames.last_frame_bytes;
                     return Ok(Some(RecvBatch { batch, recv_ms }));
                 }
-                Some(ApiFrame::Progress(p)) => self.progress = Some(p),
                 Some(ApiFrame::Summary(s)) => self.summary = Some(s),
                 Some(ApiFrame::Trailer(t)) => self.trailer = Some(t),
                 Some(ApiFrame::Header(h)) => {
@@ -952,11 +949,6 @@ impl WindowStream {
             batches.push(batch);
         }
         Ok(batches)
-    }
-
-    /// The latest progress frame seen.
-    pub fn progress(&self) -> Option<&ProgressFrame> {
-        self.progress.as_ref()
     }
 
     /// The aggregation summary, once an `aggregate` stream has been
@@ -1106,6 +1098,7 @@ impl ClusterClient {
             // The weakest (oldest) shard epoch: the staleness bound of
             // the merged answer as a whole.
             epoch: streams.iter().map(|s| s.header.epoch).min().unwrap_or(0),
+            rows_total: streams.iter().map(|s| s.header.rows_total).sum(),
             ..streams
                 .first()
                 .map(|s| s.header.clone())
@@ -1116,6 +1109,7 @@ impl ClusterClient {
                     epoch: 0,
                     source: None,
                     session: None,
+                    rows_total: 0,
                 })
         };
         Ok(MergedWindowStream {
@@ -1168,7 +1162,8 @@ pub struct MergedWindowStream {
 }
 
 impl MergedWindowStream {
-    /// The merged header: first shard's identity, weakest shard epoch.
+    /// The merged header: first shard's identity, weakest shard epoch,
+    /// summed shard row totals.
     pub fn header(&self) -> &FrameHeader {
         &self.header
     }

@@ -193,9 +193,12 @@ fn streamed_window_matches_buffered_and_reuses_connections() {
         frames += 1;
     }
     assert_eq!(hit_edges, streamed_edges);
+    assert_eq!(
+        stream.header.rows_total, hit_edges,
+        "the header carries the row total"
+    );
     if streamed_edges > gvdb_api::DEFAULT_CHUNK_ROWS as u64 {
         assert!(frames > 1, "large windows stream multiple batches");
-        assert!(stream.progress().is_some(), "progress frames interleave");
     }
 
     // Search streams too.
@@ -674,6 +677,7 @@ fn header_frame() -> String {
         epoch: 0,
         source: Some(Source::Cold),
         session: None,
+        rows_total: 0,
     })
     .to_json()
 }

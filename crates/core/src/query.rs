@@ -259,8 +259,8 @@ impl<'a> ColdWindowStream<'a> {
 
     /// Candidate rows the stream will fetch. R-tree candidates are exact,
     /// so for an unfiltered window this is the number of rows the stream
-    /// will emit; a predicate can only shrink it. Progress frames use
-    /// this as the total.
+    /// will emit; a predicate can only shrink it. The stream header
+    /// carries this as its row total.
     pub fn candidate_rows(&self) -> usize {
         self.candidates.len()
     }

@@ -34,9 +34,8 @@ use crate::registry::SessionId;
 use crate::workspace::SharedWorkspace;
 use gvdb_api::{
     AggregateDto, ApiError, ApiFrame, ApiRequest, ApiResponse, ApiResult, ChooserStatsDto,
-    DatasetInfo, DatasetStats, EdgeDto, FrameHeader, LayerInfo, LayerStatsDto, Predicate,
-    ProgressFrame, RectDto, RowBatch, SearchHitDto, SessionStatsDto, Source, StatsDto,
-    TrailerFrame, WindowMeta,
+    DatasetInfo, DatasetStats, EdgeDto, FrameHeader, LayerInfo, LayerStatsDto, Predicate, RectDto,
+    RowBatch, SearchHitDto, SessionStatsDto, Source, StatsDto, TrailerFrame, WindowMeta,
 };
 use gvdb_spatial::Rect;
 use gvdb_storage::{EdgeGeometry, EdgeRow, RowId, StorageError};
@@ -624,13 +623,12 @@ fn stream_dataset(
 }
 
 /// Stream a computed search, aggregate or focus outcome: hits in
-/// [`crate::ClientModel::chunk_rows`]-sized `Rows` frames (with progress
-/// frames when there is more than one), an aggregate as `Progress ·
-/// Summary`, a focus neighbourhood as one `Graph` frame. The trailer
-/// re-samples the layer epoch: newer than the header's iff an edit raced
-/// the request.
+/// [`crate::ClientModel::chunk_rows`]-sized `Rows` frames, an aggregate
+/// as one `Summary`, a focus neighbourhood as one `Graph` frame. The
+/// header carries the row count; the trailer re-samples the layer epoch:
+/// newer than the header's iff an edit raced the request.
 fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink) -> ApiResult<()> {
-    let header = |op: &str, dataset: String, layer: usize, epoch: u64| {
+    let header = |op: &str, dataset: String, layer: usize, epoch: u64, rows_total: u64| {
         ApiFrame::Header(FrameHeader {
             op: op.into(),
             dataset,
@@ -638,6 +636,7 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
             epoch,
             source: None,
             session: None,
+            rows_total,
         })
     };
     let (layer, rows, frames) = match outcome {
@@ -647,14 +646,15 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
             epoch,
             hits,
         } => {
-            sink.emit(&header("search", dataset, layer, epoch))?;
-            let chunk = qm.client_model().chunk_rows.max(1);
-            let mut out = RowsEmitter::new(hits.len(), chunk);
-            for batch in hits.chunks(chunk) {
+            let rows = hits.len() as u64;
+            sink.emit(&header("search", dataset, layer, epoch, rows))?;
+            let mut frames = 0;
+            for batch in hits.chunks(qm.client_model().chunk_rows.max(1)) {
                 let hits = batch.iter().map(hit_dto).collect();
-                out.send(sink, RowBatch::Hits { hits }, batch.len())?;
+                sink.emit(&ApiFrame::Rows(RowBatch::Hits { hits }))?;
+                frames += 1;
             }
-            (layer, hits.len() as u64, out.frames)
+            (layer, rows, frames)
         }
         ApiOutcome::Aggregate {
             dataset,
@@ -662,12 +662,8 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
             epoch,
             result,
         } => {
-            sink.emit(&header("aggregate", dataset, layer, epoch))?;
             let rows = result.rows;
-            sink.emit(&ApiFrame::Progress(ProgressFrame {
-                rows_sent: rows,
-                rows_total: rows,
-            }))?;
+            sink.emit(&header("aggregate", dataset, layer, epoch, rows))?;
             sink.emit(&ApiFrame::Summary(result))?;
             (layer, rows, 1)
         }
@@ -678,7 +674,7 @@ fn emit_outcome(qm: &QueryManager, outcome: ApiOutcome, sink: &mut dyn FrameSink
             json,
             rows,
         } => {
-            sink.emit(&header("focus", dataset, layer, epoch))?;
+            sink.emit(&header("focus", dataset, layer, epoch, rows as u64))?;
             if rows > 0 {
                 sink.emit(&ApiFrame::Rows(RowBatch::Graph {
                     graph: json.text,
@@ -725,11 +721,13 @@ fn emit_window(
     sink: &mut dyn FrameSink,
 ) -> ApiResult<()> {
     let chunk = qm.client_model().chunk_rows.max(1);
-    let (epoch, source) = match &mut plan {
-        StreamPlan::Built(response) => (response.epoch, source_of(response)),
+    // A cold window's total is its candidate count: the row count of an
+    // unfiltered window, an upper bound under a predicate.
+    let (epoch, source, rows_total) = match &mut plan {
+        StreamPlan::Built(response) => (response.epoch, source_of(response), response.rows.len()),
         StreamPlan::Cold(cold) => {
             cold.unpin();
-            (cold.epoch(), Source::Cold)
+            (cold.epoch(), Source::Cold, cold.candidate_rows())
         }
     };
     sink.emit(&ApiFrame::Header(FrameHeader {
@@ -739,10 +737,15 @@ fn emit_window(
         epoch,
         source: Some(source),
         session: target.session,
+        rows_total: rows_total as u64,
     }))?;
-    let (rows, rows_reused, rows_fetched, frames) = match plan {
+    let mut frames = 0;
+    let mut send = |frame: GraphFrame, reused: bool| {
+        frames += 1;
+        sink.emit(&ApiFrame::Rows(frame.into_batch(reused)))
+    };
+    let (rows, rows_reused, rows_fetched) = match plan {
         StreamPlan::Built(resp) => {
-            let mut out = RowsEmitter::new(resp.rows.len(), chunk);
             // Ascending arrival ids against ascending frame ranges: one
             // monotone pointer classifies every frame.
             let mut ai = 0usize;
@@ -760,24 +763,16 @@ fn emit_window(
                 } else {
                     false
                 };
-                out.emit(sink, frame, reused)?;
+                send(frame, reused)?;
             }
-            (
-                resp.rows.len(),
-                resp.rows_reused,
-                resp.rows_fetched,
-                out.frames,
-            )
+            (resp.rows.len(), resp.rows_reused, resp.rows_fetched)
         }
         StreamPlan::Cold(mut cold) => {
-            // Progress totals use the candidate count: the row count of
-            // an unfiltered window, an upper bound under a predicate.
-            let mut out = RowsEmitter::new(cold.candidate_rows(), chunk);
             while let Some(frame) = cold.next_chunk(chunk, packed).map_err(storage_error)? {
-                out.emit(sink, frame, false)?;
+                send(frame, false)?;
             }
             let summary = cold.finish();
-            (summary.rows, 0, summary.rows_fetched, out.frames)
+            (summary.rows, 0, summary.rows_fetched)
         }
     };
     sink.emit(&ApiFrame::Trailer(TrailerFrame {
@@ -788,48 +783,6 @@ fn emit_window(
         rows_fetched: rows_fetched as u64,
         frames,
     }))
-}
-
-/// The `Rows` frame loop shared by every row stream (window frames and
-/// search hits): the frame count, and a progress frame after each batch
-/// of a multi-frame stream.
-struct RowsEmitter {
-    many: bool,
-    total: u64,
-    sent: u64,
-    frames: u64,
-}
-
-impl RowsEmitter {
-    fn new(total: usize, chunk: usize) -> Self {
-        RowsEmitter {
-            many: total > chunk,
-            total: total as u64,
-            sent: 0,
-            frames: 0,
-        }
-    }
-
-    /// Emit one window frame.
-    fn emit(&mut self, sink: &mut dyn FrameSink, frame: GraphFrame, reused: bool) -> ApiResult<()> {
-        let edges = frame.edges;
-        self.send(sink, frame.into_batch(reused), edges)
-    }
-
-    /// Send one `Rows` frame of `rows` rows, then the progress frame of a
-    /// multi-frame stream.
-    fn send(&mut self, sink: &mut dyn FrameSink, batch: RowBatch, rows: usize) -> ApiResult<()> {
-        sink.emit(&ApiFrame::Rows(batch))?;
-        self.frames += 1;
-        self.sent += rows as u64;
-        if self.many {
-            sink.emit(&ApiFrame::Progress(ProgressFrame {
-                rows_sent: self.sent,
-                rows_total: self.total,
-            }))?;
-        }
-        Ok(())
-    }
 }
 
 /// How a window response was produced, as the wire enum.
@@ -1398,8 +1351,7 @@ mod tests {
     #[test]
     fn window_smaller_than_one_chunk_streams_a_single_frame() {
         // A chunk wider than the whole plane: the stream degenerates to
-        // Header, one Rows frame carrying everything, Trailer — and no
-        // Progress frame, since one chunk needs no progress reporting.
+        // Header, one Rows frame carrying everything, Trailer.
         let g = wikidata_like(RdfConfig {
             entities: 250,
             ..Default::default()
@@ -2196,7 +2148,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_streams_progress_then_summary() {
+    fn aggregate_streams_one_summary() {
         let (qm, path) = manager("agg-stream");
         let req = ApiRequest::Aggregate {
             dataset: None,
@@ -2217,13 +2169,14 @@ mod tests {
         let mut sink = crate::FrameBuffer::new();
         qm.call_streamed(&req, &mut sink).unwrap();
         let kinds: Vec<&str> = sink.frames.iter().map(|f| f.kind()).collect();
-        assert_eq!(kinds, ["header", "progress", "summary", "trailer"]);
+        assert_eq!(kinds, ["header", "summary", "trailer"]);
         let Some(gvdb_api::ApiFrame::Header(h)) = sink.frames.first() else {
             panic!("no header")
         };
         assert_eq!(h.op, "aggregate");
         assert_eq!(h.epoch, epoch);
-        let Some(gvdb_api::ApiFrame::Summary(s)) = sink.frames.get(2) else {
+        assert_eq!(h.rows_total, result.rows);
+        let Some(gvdb_api::ApiFrame::Summary(s)) = sink.frames.get(1) else {
             panic!("no summary")
         };
         assert_eq!(s, &result);
@@ -2255,6 +2208,167 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(sink.frames.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Check one stream against the frame grammar — `Header · Rows* ·
+    /// Trailer`, or `Header · Summary · Trailer` for an aggregate — and
+    /// return its header, its trailer, the summed [`RowBatch::len`] of
+    /// its `Rows` frames and their count.
+    fn grammar_checked(frames: &[ApiFrame]) -> (FrameHeader, TrailerFrame, u64, u64) {
+        let kinds: Vec<&str> = frames.iter().map(ApiFrame::kind).collect();
+        let (Some(ApiFrame::Header(header)), Some(ApiFrame::Trailer(trailer))) =
+            (frames.first(), frames.last())
+        else {
+            panic!("a stream opens with its header and closes with its trailer: {kinds:?}")
+        };
+        let body = &kinds[1..kinds.len() - 1];
+        assert!(
+            body.iter().all(|k| *k == "rows") || body == ["summary"],
+            "frame kinds out of grammar: {kinds:?}"
+        );
+        let (mut rows, mut batches) = (0, 0);
+        for frame in frames {
+            if let ApiFrame::Rows(batch) = frame {
+                rows += batch.len() as u64;
+                batches += 1;
+            }
+        }
+        (header.clone(), trailer.clone(), rows, batches)
+    }
+
+    /// Every streamed op follows the frame grammar, and its header's row
+    /// total is the trailer's row count (an upper bound for a filtered
+    /// cold window): multi-frame cold, hit and delta windows, plain and
+    /// packed, a filtered cold window, a search, an aggregate and a
+    /// focus.
+    #[test]
+    fn every_stream_follows_the_frame_grammar() {
+        let g = wikidata_like(RdfConfig {
+            entities: 250,
+            ..Default::default()
+        });
+        let path = tmp("grammar");
+        let (db, _) = preprocess(
+            &g,
+            &path,
+            &PreprocessConfig {
+                k: Some(2),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let model = crate::ClientModel {
+            chunk_rows: 8,
+            ..Default::default()
+        };
+        let qm = QueryManager::with_client(db, model);
+        let stream = |request: &ApiRequest| {
+            let mut sink = crate::FrameBuffer::new();
+            qm.call_streamed(request, &mut sink).unwrap();
+            grammar_checked(&sink.frames)
+        };
+        let window =
+            |window: RectDto, packed: bool, predicate: Option<Predicate>| ApiRequest::Window {
+                predicate,
+                dataset: None,
+                layer: Some(0),
+                window,
+                session: None,
+                packed,
+                rid_range: None,
+            };
+        let everything = qm
+            .window_query(0, &Rect::new(-1e9, -1e9, 1e9, 1e9))
+            .unwrap();
+        let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (_, row) in everything.rows.iter() {
+            min_x = min_x.min(row.geometry.x1).min(row.geometry.x2);
+            max_x = max_x.max(row.geometry.x1).max(row.geometry.x2);
+        }
+        let strip = |lo: f64, hi: f64| RectDto {
+            min_x: min_x + lo * (max_x - min_x),
+            min_y: -1e9,
+            max_x: min_x + hi * (max_x - min_x),
+            max_y: 1e9,
+        };
+        // An edit bumps the layer epoch, so no cached window survives it.
+        let dummy = everything.rows[0].1.clone();
+        let drop_cache = || {
+            let rid = qm.insert_row(0, &dummy).unwrap();
+            qm.delete_row(0, rid).unwrap();
+        };
+
+        for packed in [false, true] {
+            drop_cache();
+            for source in [Source::Cold, Source::Hit] {
+                let (header, trailer, rows, frames) =
+                    stream(&window(strip(0.0, 1.0), packed, None));
+                assert_eq!(header.source, Some(source));
+                assert!(frames > 1, "{source:?} packed={packed}: {frames} frames");
+                assert_eq!(
+                    header.rows_total, trailer.rows,
+                    "{source:?} packed={packed}"
+                );
+                assert_eq!(rows, trailer.rows, "{source:?} packed={packed}");
+            }
+            drop_cache();
+            qm.call(&window(strip(0.0, 0.6), false, None)).unwrap(); // the delta anchor
+            let (header, trailer, rows, frames) = stream(&window(strip(0.15, 0.75), packed, None));
+            assert_eq!(header.source, Some(Source::Delta));
+            assert!(frames > 1, "delta packed={packed}: {frames} frames");
+            assert_eq!(header.rows_total, trailer.rows, "delta packed={packed}");
+            assert_eq!(rows, trailer.rows, "delta packed={packed}");
+        }
+
+        drop_cache();
+        let degree = Predicate::Range {
+            field: Field::Degree,
+            min: Some(2.0),
+            max: None,
+        };
+        let (header, trailer, rows, frames) = stream(&window(strip(0.0, 1.0), false, Some(degree)));
+        assert_eq!(header.source, Some(Source::Cold));
+        assert!(frames > 1, "filtered cold: {frames} frames");
+        assert!(
+            header.rows_total >= trailer.rows,
+            "candidates bound the rows"
+        );
+        assert_eq!(rows, trailer.rows);
+
+        let search = ApiRequest::Search {
+            predicate: None,
+            dataset: None,
+            layer: 0,
+            query: "Q".into(),
+        };
+        let (header, trailer, rows, frames) = stream(&search);
+        assert!(frames > 1, "search: {frames} frames");
+        assert_eq!(header.rows_total, trailer.rows);
+        assert_eq!(rows, trailer.rows);
+
+        let aggregate = ApiRequest::Aggregate {
+            dataset: None,
+            layer: Some(0),
+            window: strip(0.0, 1.0),
+            predicate: None,
+            agg: AggOp::Count,
+        };
+        let (header, trailer, _, frames) = stream(&aggregate);
+        assert_eq!(frames, 0, "an aggregate streams its summary, not rows");
+        assert_eq!(header.rows_total, trailer.rows);
+        assert!(trailer.rows > 0);
+
+        let hits = qm.keyword_search(0, "Q1").unwrap();
+        let focus = ApiRequest::Focus {
+            dataset: None,
+            layer: 0,
+            node: hits[0].node_id,
+        };
+        let (header, trailer, rows, _) = stream(&focus);
+        assert_eq!(header.rows_total, trailer.rows);
+        assert_eq!(rows, trailer.rows);
+        assert!(trailer.rows > 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,7 @@
 use crate::peer_error;
 use gvdb_api::repl::{ReplRole, ReplStatsDto, ReplStatusDto, ShardMapDto};
 use gvdb_api::{ApiError, ApiFrame, ApiRequest, ApiResponse, ApiResult, RowBatch, TrailerFrame};
-use gvdb_client::{ClientError, ClusterClient, GvdbClient, WindowParams, WindowStream};
+use gvdb_client::{excerpt, ClientError, ClusterClient, GvdbClient, WindowParams, WindowStream};
 use gvdb_core::{ApiOutcome, FrameSink, GraphService, ReplProvider};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -261,7 +261,7 @@ fn unexpected(request: &ApiRequest, response: &ApiResponse) -> ApiError {
     ApiError::internal(format!(
         "shard answered '{}' with an unexpected response shape: {}",
         request.op(),
-        &response.to_json()[..response.to_json().len().min(120)]
+        excerpt(&response.to_json())
     ))
 }
 
@@ -315,5 +315,35 @@ impl ReplProvider for RouterRepl {
             applied: 0,
             resyncs: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gvdb_api::SearchHitDto;
+
+    #[test]
+    fn unexpected_response_excerpt_cuts_on_a_char_boundary() {
+        let request = ApiRequest::Stats;
+        let mut straddled = false;
+        // Some padding puts a 4-byte char across byte 120 of the JSON.
+        for pad in 0..4 {
+            let response = ApiResponse::Hits {
+                hits: vec![SearchHitDto {
+                    node: 1,
+                    label: format!("{}{}", "a".repeat(pad), "😀".repeat(80)),
+                    x: 0.0,
+                    y: 0.0,
+                }],
+            };
+            let json = response.to_json();
+            straddled |= !json.is_char_boundary(120);
+            let err = unexpected(&request, &response);
+            assert_eq!(err.kind, gvdb_api::ErrorKind::Internal);
+            assert!(err.message.contains("😀"), "{}", err.message);
+            assert!(err.message.len() < json.len(), "long bodies are cut");
+        }
+        assert!(straddled, "no padding straddled byte 120");
     }
 }

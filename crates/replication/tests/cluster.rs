@@ -470,6 +470,7 @@ fn routed_window_reassembles_byte_identical() {
     assert_eq!(graph, reference, "client-side merge must be byte-identical");
     assert_eq!(header.op, "window");
     assert!(trailer.rows > 0);
+    assert_eq!(header.rows_total, trailer.rows, "merged row total");
 
     // Server-side fan-out: plain frames through the router.
     let mut stream = routed.window_stream(&params).unwrap();
@@ -484,6 +485,7 @@ fn routed_window_reassembles_byte_identical() {
         reassembled, reference,
         "routed plain stream must be byte-identical"
     );
+    assert_eq!(stream.header.rows_total, stream.trailer().unwrap().rows);
 
     // Packed frames through the router decode to the same bytes.
     let packed_params = WindowParams {
@@ -502,6 +504,7 @@ fn routed_window_reassembles_byte_identical() {
         reassembled, reference,
         "routed packed stream must be byte-identical"
     );
+    assert_eq!(stream.header.rows_total, stream.trailer().unwrap().rows);
 
     cluster.teardown();
 }
