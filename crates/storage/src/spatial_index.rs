@@ -13,6 +13,15 @@
 //! the same pass as the packed leaves, plus a tombstone set of deleted
 //! row ids. The table layer repacks the tree from the heap on flush.
 //!
+//! Keys are **grid pieces**: `build` cuts each edge where it crosses the
+//! lines of a [`CLIP_GRID`]² grid over the layer's extent, and each piece
+//! is one leaf entry whose box (padded so the pieces cover the edge) sets
+//! the leaf's MBR. A long edge then widens only the leaves near each of
+//! its pieces, and a small window descends to few leaves. Every entry
+//! still holds the **whole** edge's endpoints and its row id; a window
+//! reports an edge only from the leaf that holds the point where the edge
+//! first meets it, and the sort and dedup below drop what remains.
+//!
 //! Leaves store each edge's **endpoints**, not its bounding box, so the
 //! leaf scan runs the exact [`Segment::intersects_rect`] test and a
 //! window returns only rows whose edge really crosses it: the heap is
@@ -65,14 +74,15 @@ pub struct PagedRTree {
 pub struct PackedRoot {
     /// Root page, 0 when the tree is empty.
     pub root: u64,
-    /// Total packed entries.
+    /// Rows in the packed tree: grid pieces are not counted, so this
+    /// stays the row count however many leaf entries the clipping made.
     pub len: u64,
 }
 
 /// One entry a window query returned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hit {
-    /// Bounding box of the entry's edge.
+    /// Bounding box of the entry's whole edge (not of a grid piece).
     pub bbox: Rect,
     /// Packed row id.
     pub row: u64,
@@ -83,9 +93,12 @@ pub struct Hit {
 }
 
 impl PagedRTree {
-    /// Build a packed tree from `(segment, row)` entries (STR order on
-    /// the segments' bounding-box centers), writing pages into `pool`.
-    pub fn build(pool: &BufferPool, mut entries: Vec<(Segment, u64)>) -> Result<Self> {
+    /// Build a packed tree from `(segment, row)` entries, writing pages
+    /// into `pool`. Each segment is first cut at the lines of a
+    /// [`CLIP_GRID`]² grid over the entries' extent; the pieces are put in
+    /// STR order by the centers of their keys and
+    /// every piece becomes one leaf entry carrying the whole segment.
+    pub fn build(pool: &BufferPool, entries: Vec<(Segment, u64)>) -> Result<Self> {
         let len = entries.len() as u64;
         if entries.is_empty() {
             return Ok(PagedRTree {
@@ -96,40 +109,40 @@ impl PagedRTree {
             });
         }
         // STR: sort by center x, slice, sort slices by center y, chunk.
-        let n = entries.len();
+        // Ties go by row id, then piece order, so the pages come out the
+        // same whatever order the entries arrive in.
+        let mut pieces = clip_to_grid(&entries);
+        let str_order = |center: fn(&Rect) -> f64| {
+            let entries = &entries;
+            move |a: &Piece, b: &Piece| {
+                center(&a.key)
+                    .total_cmp(&center(&b.key))
+                    .then(
+                        entries[a.entry as usize]
+                            .1
+                            .cmp(&entries[b.entry as usize].1),
+                    )
+                    .then(a.part.cmp(&b.part))
+            }
+        };
+        let n = pieces.len();
         let pages = n.div_ceil(FANOUT);
         let slices = (pages as f64).sqrt().ceil() as usize;
-        entries.sort_by(|a, b| {
-            a.0.bbox()
-                .center()
-                .x
-                .partial_cmp(&b.0.bbox().center().x)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        pieces.sort_unstable_by(str_order(|r| r.min_x + r.max_x));
         let mut level: Vec<(Rect, u64)> = Vec::with_capacity(pages);
-        let per_slice = n.div_ceil(slices);
-        let mut rest = entries;
-        while !rest.is_empty() {
-            let take = per_slice.min(rest.len());
-            let mut slice: Vec<(Segment, u64)> = rest.drain(..take).collect();
-            slice.sort_by(|a, b| {
-                a.0.bbox()
-                    .center()
-                    .y
-                    .partial_cmp(&b.0.bbox().center().y)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+        for slice in pieces.chunks_mut(n.div_ceil(slices)) {
+            slice.sort_unstable_by(str_order(|r| r.min_y + r.max_y));
             // Pack the y-sorted run into compressed leaves: push until the
             // builder refuses (page full), then seal and start the next
             // leaf. Leaves are variable-fanout — locality decides how many
             // entries fit, typically well past the plain FANOUT.
             let mut builder = RtreeLeafBuilder::new();
             let mut mbr: Option<Rect> = None;
-            for (seg, payload) in slice.drain(..) {
+            for piece in slice.iter() {
+                let (seg, payload) = entries[piece.entry as usize];
                 let channels = [seg.a.x, seg.a.y, seg.b.x, seg.b.y];
-                let bbox = seg.bbox();
                 if builder.push(channels, payload) {
-                    mbr = Some(mbr.map_or(bbox, |m| m.union(&bbox)));
+                    mbr = Some(mbr.map_or(piece.key, |m| m.union(&piece.key)));
                     continue;
                 }
                 let pid = Self::write_compressed_leaf(pool, &builder)?;
@@ -137,7 +150,7 @@ impl PagedRTree {
                 builder = RtreeLeafBuilder::new();
                 let pushed = builder.push(channels, payload);
                 debug_assert!(pushed, "entry must fit an empty leaf");
-                mbr = Some(bbox);
+                mbr = Some(piece.key);
             }
             if !builder.is_empty() {
                 let pid = Self::write_compressed_leaf(pool, &builder)?;
@@ -146,15 +159,13 @@ impl PagedRTree {
         }
         // Pack upper levels until a single root remains.
         while level.len() > 1 {
-            let mut next = Vec::with_capacity(level.len().div_ceil(FANOUT));
-            let mut rest = level;
-            while !rest.is_empty() {
-                let take = FANOUT.min(rest.len());
-                let chunk: Vec<(Rect, u64)> = rest.drain(..take).collect();
-                let (pid, mbr) = Self::write_node(pool, TAG_INTERNAL, &chunk)?;
-                next.push((mbr, pid.0));
-            }
-            level = next;
+            level = level
+                .chunks(FANOUT)
+                .map(|chunk| {
+                    let (pid, mbr) = Self::write_node(pool, TAG_INTERNAL, chunk)?;
+                    Ok((mbr, pid.0))
+                })
+                .collect::<Result<_>>()?;
         }
         Ok(PagedRTree {
             root: Some(PageId(level[0].1)),
@@ -237,15 +248,32 @@ impl PagedRTree {
                 .any(|w| bbox.intersects(w) && seg.intersects_rect(w))
         };
         let live = |row: &u64| !self.tombstones.contains(row);
+        // A clipped edge has an entry in the leaf of each of its pieces.
+        // Only a leaf whose MBR holds the point where the edge first meets
+        // a window reports it, so the other pieces add no duplicate hit.
+        let owns = |seg: &Segment, bbox: &Rect, leaf: &Rect| {
+            windows.iter().any(|w| {
+                bbox.intersects(w)
+                    && seg.intersects_rect(w)
+                    && first_point_in(seg, w).is_none_or(|p| near(leaf, &p, piece_pad(seg)))
+            })
+        };
         if let Some(root) = self.root {
-            let mut stack = vec![root];
-            while let Some(pid) = stack.pop() {
+            // The root's box is not stored; no window point falls outside it.
+            let all = Rect::new(
+                f64::NEG_INFINITY,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::INFINITY,
+            );
+            let mut stack = vec![(root, all)];
+            while let Some((pid, mbr)) = stack.pop() {
                 pool.with_page(pid, |p| match p.get_u16(0) {
                     compress::TAG_LEAF_SEGMENTS => {
                         compress::scan_rtree_leaf(p, |x1, y1, x2, y2, row| {
                             let seg = Segment::new(Point::new(x1, y1), Point::new(x2, y2));
                             let bbox = seg.bbox();
-                            if crosses(&seg, &bbox) && live(&row) {
+                            if owns(&seg, &bbox, &mbr) && live(&row) {
                                 out.push(Hit {
                                     bbox,
                                     row,
@@ -281,7 +309,7 @@ impl PagedRTree {
                             }
                             let payload = p.get_u64(base + 32);
                             if tag == TAG_INTERNAL {
-                                stack.push(PageId(payload));
+                                stack.push((PageId(payload), bbox));
                             } else if live(&payload) {
                                 out.push(Hit {
                                     bbox,
@@ -364,9 +392,141 @@ impl PagedRTree {
     }
 }
 
+/// Cells per side of the grid [`PagedRTree::build`] clips segments to.
+/// A long edge's box overlaps most leaves of an STR tree; cut at the grid
+/// lines, each piece's box stays within one cell, so a small window only
+/// descends to the leaves near it. Finer grids save little more on the
+/// benchmark layers (8 reads 39 leaves per small window against 44 at 4)
+/// for 1.65× the index entries.
+pub const CLIP_GRID: usize = 4;
+
+/// Pad on a piece's key, relative to its segment's largest coordinate —
+/// orders of magnitude above the rounding in a computed cut point, so the
+/// keys of consecutive pieces always overlap and cover the whole segment.
+const PIECE_PAD: f64 = 1e-12;
+
+/// One grid piece of an entry's segment: the leaf entry written for it.
+struct Piece {
+    /// The piece's box, padded and clamped to the whole segment's box:
+    /// the key for STR order and for the leaf's MBR.
+    key: Rect,
+    /// Index into the `build` entries.
+    entry: u32,
+    /// Position of the piece along its segment, from endpoint `a`.
+    part: u32,
+}
+
+/// [`PIECE_PAD`] for `seg`'s pieces.
+fn piece_pad(seg: &Segment) -> f64 {
+    let (a, b) = (seg.a, seg.b);
+    PIECE_PAD * a.x.abs().max(a.y.abs()).max(b.x.abs()).max(b.y.abs())
+}
+
+/// Whether `p` lies in `r` grown by `tol` on every side.
+fn near(r: &Rect, p: &Point, tol: f64) -> bool {
+    p.x >= r.min_x - tol && p.x <= r.max_x + tol && p.y >= r.min_y - tol && p.y <= r.max_y + tol
+}
+
+/// The first point of `seg`, walking from `a`, that lies in `w`: `a`
+/// itself when inside, else where a Liang–Barsky clip enters. `None` when
+/// the clip finds no overlap, as on a touch that only the exact test's
+/// rounding accepts — the caller then reports the edge unconditionally.
+fn first_point_in(seg: &Segment, w: &Rect) -> Option<Point> {
+    let a = seg.a;
+    if w.contains_point(&a) {
+        return Some(a);
+    }
+    let (dx, dy) = (seg.b.x - a.x, seg.b.y - a.y);
+    let (mut enter, mut leave) = (0.0f64, 1.0f64);
+    for (p, q) in [
+        (-dx, a.x - w.min_x),
+        (dx, w.max_x - a.x),
+        (-dy, a.y - w.min_y),
+        (dy, w.max_y - a.y),
+    ] {
+        if p == 0.0 {
+            if q < 0.0 {
+                return None;
+            }
+        } else if p < 0.0 {
+            enter = enter.max(q / p);
+        } else {
+            leave = leave.min(q / p);
+        }
+    }
+    (enter <= leave).then(|| Point::new(a.x + enter * dx, a.y + enter * dy))
+}
+
+/// Cut every segment where it crosses the lines of a [`CLIP_GRID`]²
+/// grid over the union of the entries' boxes. A segment that stays in
+/// one cell is one piece keyed by its own box.
+fn clip_to_grid(entries: &[(Segment, u64)]) -> Vec<Piece> {
+    let extent = entries
+        .iter()
+        .map(|(seg, _)| seg.bbox())
+        .reduce(|a, b| a.union(&b))
+        .expect("clip_to_grid takes at least one entry");
+    let cell_w = (extent.max_x - extent.min_x) / CLIP_GRID as f64;
+    let cell_h = (extent.max_y - extent.min_y) / CLIP_GRID as f64;
+    let mut pieces = Vec::with_capacity(entries.len() * 2);
+    let mut cuts: Vec<f64> = Vec::new();
+    for (entry, (seg, _)) in entries.iter().enumerate() {
+        let (a, b) = (seg.a, seg.b);
+        cuts.clear();
+        grid_crossings(&mut cuts, a.x, b.x, extent.min_x, cell_w);
+        grid_crossings(&mut cuts, a.y, b.y, extent.min_y, cell_h);
+        cuts.sort_unstable_by(f64::total_cmp);
+        cuts.dedup();
+        let bbox = seg.bbox();
+        let pad = piece_pad(seg);
+        let clamp = |v: f64, lo: f64, hi: f64| v.max(lo).min(hi);
+        let mut from = a;
+        for part in 0..=cuts.len() {
+            let to = cuts.get(part).map_or(b, |&t| {
+                Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            });
+            let r = Rect::from_points(from, to);
+            let key = Rect::new(
+                clamp(r.min_x - pad, bbox.min_x, bbox.max_x),
+                clamp(r.min_y - pad, bbox.min_y, bbox.max_y),
+                clamp(r.max_x + pad, bbox.min_x, bbox.max_x),
+                clamp(r.max_y + pad, bbox.min_y, bbox.max_y),
+            );
+            pieces.push(Piece {
+                key,
+                entry: entry as u32,
+                part: part as u32,
+            });
+            from = to;
+        }
+    }
+    pieces
+}
+
+/// Push the parameters `t` in (0, 1) at which `a + t·(b − a)` crosses a
+/// grid line `origin + k·cell` on one axis. The loop runs over the integer
+/// range of cells the span touches (at most `CLIP_GRID − 1` lines), so a
+/// zero or non-finite cell, or coordinates far from the origin, cut
+/// nothing rather than step forever.
+fn grid_crossings(cuts: &mut Vec<f64>, a: f64, b: f64, origin: f64, cell: f64) {
+    if a == b || !(cell.is_finite() && cell > 0.0) {
+        return;
+    }
+    let last = (CLIP_GRID - 1) as f64;
+    // `as` saturates and maps NaN to 0, so the cast cannot go wrong.
+    let cell_of = |v: f64| ((v - origin) / cell).floor().clamp(0.0, last) as usize;
+    for k in cell_of(a.min(b)) + 1..=cell_of(a.max(b)) {
+        let t = (origin + k as f64 * cell - a) / (b - a);
+        if t > 0.0 && t < 1.0 {
+            cuts.push(t);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::PoolStats;
     use crate::pager::Pager;
     use rand::prelude::*;
 
@@ -601,6 +761,168 @@ mod tests {
             .window(&pool, &Rect::new(-200.0, -200.0, 1200.0, 1200.0))
             .unwrap();
         assert_eq!(hits.len(), n);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Rows whose edge crosses `w`, by a linear scan of `entries`.
+    fn scan(entries: &[(Segment, u64)], w: &Rect) -> Vec<u64> {
+        let mut rows: Vec<u64> = entries
+            .iter()
+            .filter(|(s, _)| s.bbox().intersects(w) && s.intersects_rect(w))
+            .map(|(_, row)| *row)
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// Edges over a 1000² plane (grid lines every 250) that stress the
+    /// clipping: corner-to-corner diagonals through every grid corner,
+    /// edges lying along grid lines, edges crossing many cells,
+    /// axis-parallel and zero-length edges, all moved by `offset`.
+    fn grid_stress_entries(offset: f64) -> Vec<(Segment, u64)> {
+        let o = offset;
+        let mut segs = vec![
+            seg(o, o, o + 1000.0, o + 1000.0),
+            seg(o, o + 1000.0, o + 1000.0, o),
+            seg(o + 500.0, o + 500.0, o + 500.0, o + 500.0),
+        ];
+        for k in 0..=4 {
+            let line = o + 250.0 * k as f64;
+            segs.push(seg(line, o + 30.0, line, o + 970.0));
+            segs.push(seg(o + 970.0, line, o + 30.0, line));
+            segs.push(seg(line, line, line, line));
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for i in 0..600 {
+            let p = |rng: &mut StdRng| o + rng.random::<f64>() * 1000.0;
+            let (x, y, u, v) = (p(&mut rng), p(&mut rng), p(&mut rng), p(&mut rng));
+            segs.push(match i % 4 {
+                0 => seg(x, y, u, v),
+                1 => seg(x, y, u, y),
+                2 => seg(x, y, x, v),
+                _ => seg(x, y, x + 3.0, y - 2.0),
+            });
+        }
+        segs.into_iter().zip(0..).collect()
+    }
+
+    /// Windows that touch a stress edge only where `build` cut it: a
+    /// corner on the point where the edge crosses a grid line, the window
+    /// lying to either side of it.
+    fn cut_point_windows(entries: &[(Segment, u64)], offset: f64) -> Vec<Rect> {
+        let mut out = Vec::new();
+        for (s, _) in entries.iter().take(40) {
+            for k in 1..4 {
+                let line = offset + 250.0 * k as f64;
+                if (s.a.x - line) * (s.b.x - line) >= 0.0 {
+                    continue;
+                }
+                let t = (line - s.a.x) / (s.b.x - s.a.x);
+                let y = s.a.y + t * (s.b.y - s.a.y);
+                out.push(Rect::new(line, y, line + 20.0, y + 20.0));
+                out.push(Rect::new(line - 20.0, y - 20.0, line, y));
+                out.push(Rect::new(line, y - 20.0, line + 20.0, y));
+                out.push(Rect::new(line - 20.0, y, line, y + 20.0));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn clipped_edges_match_linear_scan() {
+        for offset in [0.0, -3.5e6, 1e12] {
+            let (pool, path) = pool("clip");
+            let entries = grid_stress_entries(offset);
+            let tree = PagedRTree::build(&pool, entries.clone()).unwrap();
+            assert_eq!(tree.packed_len(), entries.len() as u64, "rows, not pieces");
+            let mut windows = cut_point_windows(&entries, offset);
+            assert!(windows.len() > 20, "the diagonals cross grid lines");
+            let mut rng = StdRng::seed_from_u64(12);
+            for _ in 0..60 {
+                let x = offset + rng.random::<f64>() * 1000.0;
+                let y = offset + rng.random::<f64>() * 1000.0;
+                let side = rng.random::<f64>() * 120.0;
+                windows.push(Rect::new(x, y, x + side, y + side));
+            }
+            for line in [250.0, 500.0, 750.0] {
+                let l = offset + line;
+                windows.push(Rect::new(l, l, l, l));
+                windows.push(Rect::new(l - 1.0, offset, l, offset + 1000.0));
+            }
+            for w in &windows {
+                let hits = tree.window(&pool, w).unwrap();
+                assert_eq!(
+                    rows(&hits),
+                    scan(&entries, w),
+                    "offset {offset} window {w:?}"
+                );
+                for h in &hits {
+                    let (s, _) = entries[h.row as usize];
+                    assert_eq!(h.bbox, s.bbox(), "hits carry the whole edge's box");
+                }
+            }
+            let everything =
+                Rect::new(offset - 1.0, offset - 1.0, offset + 1001.0, offset + 1001.0);
+            assert_eq!(
+                tree.window(&pool, &everything).unwrap().len(),
+                entries.len()
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn single_point_extent_builds_and_answers() {
+        let (pool, path) = pool("point");
+        let entries: Vec<(Segment, u64)> =
+            (0..500).map(|i| (seg(7.0, -3.0, 7.0, -3.0), i)).collect();
+        let tree = PagedRTree::build(&pool, entries).unwrap();
+        let hits = tree
+            .window(&pool, &Rect::new(7.0, -3.0, 7.0, -3.0))
+            .unwrap();
+        assert_eq!(rows(&hits), (0..500).collect::<Vec<u64>>());
+        assert!(tree
+            .window(&pool, &Rect::new(7.5, -3.0, 8.0, 0.0))
+            .unwrap()
+            .is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Pages a small window pins on a layer of long edges, read as the
+    /// change in pool hits plus misses. Before edges were clipped, every
+    /// leaf whose box a long edge stretched over the window was read:
+    /// 13.8 pages per window on this layer, against 9.6 with clipping.
+    #[test]
+    fn small_window_pins_only_nearby_pages() {
+        let (pool, path) = pool("pins");
+        let mut rng = StdRng::seed_from_u64(13);
+        let entries: Vec<(Segment, u64)> = (0..20_000u64)
+            .map(|i| {
+                let x = rng.random::<f64>() * 1000.0;
+                let y = rng.random::<f64>() * 1000.0;
+                let u = (x + (rng.random::<f64>() - 0.5) * 600.0).clamp(0.0, 1000.0);
+                let v = (y + (rng.random::<f64>() - 0.5) * 600.0).clamp(0.0, 1000.0);
+                (seg(x, y, u, v), i)
+            })
+            .collect();
+        let tree = PagedRTree::build(&pool, entries.clone()).unwrap();
+        let pins = |s: PoolStats| s.hits + s.misses;
+        let windows = 50;
+        let mut pinned = 0;
+        for _ in 0..windows {
+            let x = rng.random::<f64>() * 950.0;
+            let y = rng.random::<f64>() * 950.0;
+            let w = Rect::new(x, y, x + 50.0, y + 50.0);
+            let before = pins(pool.stats().snapshot());
+            let hits = tree.window(&pool, &w).unwrap();
+            pinned += pins(pool.stats().snapshot()) - before;
+            assert_eq!(rows(&hits), scan(&entries, &w));
+        }
+        let per_window = pinned as f64 / windows as f64;
+        assert!(
+            per_window < 12.0,
+            "a 5% window pinned {per_window:.1} pages"
+        );
         std::fs::remove_file(&path).ok();
     }
 
