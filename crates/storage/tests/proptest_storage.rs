@@ -201,6 +201,76 @@ proptest! {
         check_tree(&tree, &pool, &model, &windows);
         std::fs::remove_file(&path).ok();
     }
+
+    /// Grid clipping against a linear scan: edges spanning many cells of
+    /// the 4×4 grid, lying on its lines (every 250), through its corners,
+    /// axis-parallel and zero-length, on a plane moved far from the
+    /// origin, with windows that touch an edge only at a cut point.
+    #[test]
+    fn paged_rtree_clipped_edges_match_scan(
+        edges in prop::collection::vec(arb_long_edge(), 1..150),
+        windows in prop::collection::vec(arb_window(), 1..6),
+        shift in 0u8..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let (pool, path) = temp_pool(seed.wrapping_add(4), 16);
+        let offset = [0.0, -3.5e6, 1e12][shift as usize];
+        let moved = |e: &[f64; 4]| segment(&e.map(|v| v + offset));
+        // The diagonal pins the extent to [0, 1000]², grid lines at 250.
+        let mut model: Vec<(u64, Segment, bool)> = vec![(0, moved(&[0.0, 0.0, 1000.0, 1000.0]), true)];
+        model.extend(edges.iter().zip(1..).map(|(e, row)| (row, moved(e), true)));
+        let mut probes: Vec<Rect> = windows
+            .iter()
+            .map(|w| Rect::new(w.min_x + offset, w.min_y + offset, w.max_x + offset, w.max_y + offset))
+            .collect();
+        for (_, seg, _) in model.iter().take(8) {
+            let (a, b) = (seg.a, seg.b);
+            if a.x == b.x {
+                continue;
+            }
+            for k in 1..4 {
+                let line = offset + 250.0 * k as f64;
+                let t = (line - a.x) / (b.x - a.x);
+                if t > 0.0 && t < 1.0 {
+                    let y = a.y + t * (b.y - a.y);
+                    probes.push(Rect::new(line, y, line + 15.0, y + 15.0));
+                    probes.push(Rect::new(line - 15.0, y - 15.0, line, y));
+                }
+            }
+        }
+        let packed = model.iter().map(|&(row, seg, _)| (seg, row)).collect();
+        let tree = PagedRTree::build(&pool, packed).unwrap();
+        prop_assert_eq!(tree.packed_len(), model.len() as u64);
+        for w in &probes {
+            check_tree(&tree, &pool, &model, std::slice::from_ref(w));
+        }
+        check_tree(&tree, &pool, &model, &probes);
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// A long edge over a 1000² plane: endpoints anywhere (many cells), on a
+/// grid line of either axis, through a grid corner, or zero-length.
+fn arb_long_edge() -> impl Strategy<Value = [f64; 4]> {
+    (
+        0.0f64..1000.0,
+        0.0f64..1000.0,
+        0.0f64..1000.0,
+        0.0f64..1000.0,
+        0u8..5,
+        0u8..5,
+    )
+        .prop_map(|(x, y, u, v, shape, k)| {
+            let line = 250.0 * k as f64;
+            match shape {
+                0 => [x, y, u, v],
+                1 => [line, y, line, v],
+                2 => [x, line, u, line],
+                // Through the corner (line, line), mirrored about it.
+                3 => [x, y, 2.0 * line - x, 2.0 * line - y],
+                _ => [x, y, x, y],
+            }
+        })
 }
 
 fn segment(e: &[f64; 4]) -> Segment {
