@@ -172,6 +172,13 @@ impl<'a> Reader<'a> {
         if n > 8 {
             return Err(self.corrupt("bad significant-byte count"));
         }
+        // One 8-byte load masked to `n` bytes, rather than a copy of
+        // variable length, while 8 bytes remain in the page.
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            self.pos += n;
+            let mask = u64::MAX.checked_shr(64 - 8 * n as u32).unwrap_or(0);
+            return Ok(u64::from_le_bytes(word.try_into().expect("8 bytes")) & mask);
+        }
         let s = self.take(n)?;
         let mut b = [0u8; 8];
         b[..n].copy_from_slice(s);
@@ -696,8 +703,7 @@ impl RtreeLeafBuilder {
     /// Fresh empty builder.
     pub fn new() -> Self {
         RtreeLeafBuilder {
-            // Room for one entry past the page, which `push` takes back.
-            entries: Vec::with_capacity(PAGE_SIZE + 64),
+            entries: Vec::with_capacity(PAGE_SIZE),
             count: 0,
             bases: [0; 4],
             prev: [0; 4],
@@ -724,6 +730,7 @@ impl RtreeLeafBuilder {
         // The first entry deltas against itself (the stored bases), so its
         // channel XORs are all zero by construction.
         let prev = if self.count == 0 { bits } else { self.prev };
+        let mut buf = Vec::with_capacity(40);
         let xs = [
             bits[0] ^ prev[0],
             bits[1] ^ prev[1],
@@ -731,25 +738,22 @@ impl RtreeLeafBuilder {
             bits[3] ^ prev[3],
         ];
         let ns = xs.map(sig_bytes);
-        // Encode in place and take the bytes back if the page overflows.
-        let start = self.entries.len();
-        let buf = &mut self.entries;
         buf.push((ns[0] << 4 | ns[1]) as u8);
         buf.push((ns[2] << 4 | ns[3]) as u8);
         for i in 0..4 {
-            put_low_bytes(buf, xs[i], ns[i]);
+            put_low_bytes(&mut buf, xs[i], ns[i]);
         }
         put_varint(
-            buf,
+            &mut buf,
             zigzag((payload as i64).wrapping_sub(self.prev_payload)),
         );
-        if 40 + buf.len() > PAGE_SIZE {
-            buf.truncate(start);
+        if 40 + self.entries.len() + buf.len() > PAGE_SIZE {
             return false;
         }
         if self.count == 0 {
             self.bases = bits;
         }
+        self.entries.extend_from_slice(&buf);
         self.prev = bits;
         self.prev_payload = payload as i64;
         self.count += 1;

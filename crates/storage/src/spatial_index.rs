@@ -18,9 +18,10 @@
 //! is one leaf entry whose box (padded so the pieces cover the edge) sets
 //! the leaf's MBR. A long edge then widens only the leaves near each of
 //! its pieces, and a small window descends to few leaves. Every entry
-//! still holds the **whole** edge's endpoints and its row id; a window
-//! reports an edge only from the leaf that holds the point where the edge
-//! first meets it, and the sort and dedup below drop what remains.
+//! still holds the **whole** edge's endpoints and its row id. A window
+//! that meets several pieces of one edge tests it only in the leaf that
+//! holds the point where the edge enters the window, and the sort and
+//! dedup in [`PagedRTree::windows`] drop the rare duplicate left over.
 //!
 //! Leaves store each edge's **endpoints**, not its bounding box, so the
 //! leaf scan runs the exact [`Segment::intersects_rect`] test and a
@@ -159,13 +160,15 @@ impl PagedRTree {
         }
         // Pack upper levels until a single root remains.
         while level.len() > 1 {
-            level = level
-                .chunks(FANOUT)
-                .map(|chunk| {
-                    let (pid, mbr) = Self::write_node(pool, TAG_INTERNAL, chunk)?;
-                    Ok((mbr, pid.0))
-                })
-                .collect::<Result<_>>()?;
+            let mut next = Vec::with_capacity(level.len().div_ceil(FANOUT));
+            let mut rest = level;
+            while !rest.is_empty() {
+                let take = FANOUT.min(rest.len());
+                let chunk: Vec<(Rect, u64)> = rest.drain(..take).collect();
+                let (pid, mbr) = Self::write_node(pool, TAG_INTERNAL, &chunk)?;
+                next.push((mbr, pid.0));
+            }
+            level = next;
         }
         Ok(PagedRTree {
             root: Some(PageId(level[0].1)),
@@ -248,32 +251,29 @@ impl PagedRTree {
                 .any(|w| bbox.intersects(w) && seg.intersects_rect(w))
         };
         let live = |row: &u64| !self.tombstones.contains(row);
-        // A clipped edge has an entry in the leaf of each of its pieces.
-        // Only a leaf whose MBR holds the point where the edge first meets
-        // a window reports it, so the other pieces add no duplicate hit.
-        let owns = |seg: &Segment, bbox: &Rect, leaf: &Rect| {
-            windows.iter().any(|w| {
-                bbox.intersects(w)
-                    && seg.intersects_rect(w)
-                    && first_point_in(seg, w).is_none_or(|p| near(leaf, &p, piece_pad(seg)))
-            })
-        };
+        // A clipped edge has an entry in the leaf of each of its pieces, so
+        // a leaf runs the exact test only on the edges it owns (see `owns`).
         if let Some(root) = self.root {
-            // The root's box is not stored; no window point falls outside it.
-            let all = Rect::new(
+            // The root's box is not stored; every point lies in it.
+            let plane = Rect::new(
                 f64::NEG_INFINITY,
                 f64::NEG_INFINITY,
                 f64::INFINITY,
                 f64::INFINITY,
             );
-            let mut stack = vec![(root, all)];
+            let mut stack = vec![(root, plane)];
             while let Some((pid, mbr)) = stack.pop() {
                 pool.with_page(pid, |p| match p.get_u16(0) {
                     compress::TAG_LEAF_SEGMENTS => {
                         compress::scan_rtree_leaf(p, |x1, y1, x2, y2, row| {
                             let seg = Segment::new(Point::new(x1, y1), Point::new(x2, y2));
                             let bbox = seg.bbox();
-                            if owns(&seg, &bbox, &mbr) && live(&row) {
+                            let owned = windows.iter().any(|w| {
+                                bbox.intersects(w)
+                                    && owns(&mbr, &seg, &bbox, w)
+                                    && seg.intersects_rect(w)
+                            });
+                            if owned && live(&row) {
                                 out.push(Hit {
                                     bbox,
                                     row,
@@ -416,45 +416,34 @@ struct Piece {
     part: u32,
 }
 
-/// [`PIECE_PAD`] for `seg`'s pieces.
-fn piece_pad(seg: &Segment) -> f64 {
+/// Whether the leaf whose box is `leaf` owns `seg` (with box `bbox`)
+/// for window `w`: the box holds the point where `seg`, walking from `a`,
+/// enters `w` (`a` itself when inside). Every piece lies in its leaf's
+/// box, so that point lies in the box of a leaf the window descends to,
+/// and the other leaves holding a piece of `seg` skip it. The point is
+/// off by rounding, far less than the pieces' pad, and is clamped to
+/// `bbox` so that it cannot leave a box at a side the clamp fixed; when
+/// rounding puts it outside `w` (a touch), every leaf owns the edge and
+/// the dedup in [`PagedRTree::windows`] keeps one hit. The caller has
+/// checked that `bbox` meets `w`, so `a` lies beyond a side only if `b`
+/// reaches it. Written without branches: which of these tests pass is
+/// close to random, and mispredictions would cost more than the tests.
+fn owns(leaf: &Rect, seg: &Segment, bbox: &Rect, w: &Rect) -> bool {
     let (a, b) = (seg.a, seg.b);
-    PIECE_PAD * a.x.abs().max(a.y.abs()).max(b.x.abs()).max(b.y.abs())
-}
-
-/// Whether `p` lies in `r` grown by `tol` on every side.
-fn near(r: &Rect, p: &Point, tol: f64) -> bool {
-    p.x >= r.min_x - tol && p.x <= r.max_x + tol && p.y >= r.min_y - tol && p.y <= r.max_y + tol
-}
-
-/// The first point of `seg`, walking from `a`, that lies in `w`: `a`
-/// itself when inside, else where a Liang–Barsky clip enters. `None` when
-/// the clip finds no overlap, as on a touch that only the exact test's
-/// rounding accepts — the caller then reports the edge unconditionally.
-fn first_point_in(seg: &Segment, w: &Rect) -> Option<Point> {
-    let a = seg.a;
-    if w.contains_point(&a) {
-        return Some(a);
-    }
-    let (dx, dy) = (seg.b.x - a.x, seg.b.y - a.y);
-    let (mut enter, mut leave) = (0.0f64, 1.0f64);
-    for (p, q) in [
-        (-dx, a.x - w.min_x),
-        (dx, w.max_x - a.x),
-        (-dy, a.y - w.min_y),
-        (dy, w.max_y - a.y),
-    ] {
-        if p == 0.0 {
-            if q < 0.0 {
-                return None;
-            }
-        } else if p < 0.0 {
-            enter = enter.max(q / p);
-        } else {
-            leave = leave.min(q / p);
-        }
-    }
-    (enter <= leave).then(|| Point::new(a.x + enter * dx, a.y + enter * dy))
+    // Parameter at which the segment reaches [lo, hi] on one axis: 0 when
+    // `a` is in it, NaN (which `max` ignores) for a zero span inside it.
+    let enter =
+        |a: f64, b: f64, lo: f64, hi: f64| ((lo - a).max(0.0) + (a - hi).max(0.0)) / (b - a).abs();
+    let t = enter(a.x, b.x, w.min_x, w.max_x).max(enter(a.y, b.y, w.min_y, w.max_y));
+    // `max` then `min`, not `clamp`: a NaN `t` (a zero-length edge) lands
+    // on the box instead of panicking.
+    let p = Point::new(
+        (a.x + t * (b.x - a.x)).max(bbox.min_x).min(bbox.max_x),
+        (a.y + t * (b.y - a.y)).max(bbox.min_y).min(bbox.max_y),
+    );
+    let inside =
+        |r: &Rect| (p.x >= r.min_x) & (p.x <= r.max_x) & (p.y >= r.min_y) & (p.y <= r.max_y);
+    !inside(w) | inside(leaf)
 }
 
 /// Cut every segment where it crosses the lines of a [`CLIP_GRID`]²
@@ -478,7 +467,7 @@ fn clip_to_grid(entries: &[(Segment, u64)]) -> Vec<Piece> {
         cuts.sort_unstable_by(f64::total_cmp);
         cuts.dedup();
         let bbox = seg.bbox();
-        let pad = piece_pad(seg);
+        let pad = PIECE_PAD * a.x.abs().max(a.y.abs()).max(b.x.abs()).max(b.y.abs());
         let clamp = |v: f64, lo: f64, hi: f64| v.max(lo).min(hi);
         let mut from = a;
         for part in 0..=cuts.len() {
