@@ -70,7 +70,7 @@ fn bench_cold_vs_cached(c: &mut Criterion) {
         stats.hit_rate() * 100.0,
         stats.entries
     );
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 criterion_group!(benches, bench_cold_vs_cached);

@@ -104,7 +104,7 @@ fn bench_concurrent_reads(c: &mut Criterion) {
         shards.len(),
         shards.iter().map(|s| s.hits + s.misses).collect::<Vec<_>>()
     );
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 criterion_group!(benches, bench_concurrent_reads);

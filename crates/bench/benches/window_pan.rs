@@ -97,7 +97,7 @@ fn bench_pan_overlaps(c: &mut Criterion) {
     group.finish();
     drop(qm_cold);
     drop(qm_delta);
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 criterion_group!(benches, bench_pan_overlaps);

@@ -36,7 +36,7 @@ fn bench_window_sizes(c: &mut Criterion) {
         );
     }
     group.finish();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// What unflushed canvas edits cost a window: the R-tree's edit overlay
@@ -91,7 +91,7 @@ fn bench_overlay_cost(c: &mut Criterion) {
     }
     group.finish();
     drop(db);
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 criterion_group!(benches, bench_window_sizes, bench_overlay_cost);

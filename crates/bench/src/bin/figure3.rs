@@ -71,6 +71,6 @@ fn main() {
             prev_total = total;
         }
         println!();
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

@@ -57,7 +57,7 @@ fn main() {
             t.indexing.as_secs_f64() / edges * 1e6,
             t.indexing.as_secs_f64() / t.total().as_secs_f64(),
         ));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     println!("\nshape checks (paper §III):");

@@ -266,6 +266,6 @@ mod tests {
             "density {density}"
         );
         drop(db);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

@@ -137,7 +137,7 @@ fn every_typed_method_round_trips() {
     assert!(client.pool().idle_count(&addr) >= 1);
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 #[test]
@@ -238,7 +238,7 @@ fn streamed_window_matches_buffered_and_reuses_connections() {
     }
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 /// The negotiated compact encoding is invisible above the wire: a
@@ -297,7 +297,7 @@ fn packed_negotiation_is_transparent() {
         "packed wire {packed_wire} B should be well under half of plain {plain_wire} B"
     );
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 /// Delta windows stream packed too: along a session's pan and for a
@@ -389,7 +389,7 @@ fn delta_windows_stream_packed() {
     };
     assert_eq!(check(&overlapping), Some(Source::Delta));
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 #[test]
@@ -453,7 +453,7 @@ fn idle_pooled_connections_are_visible_in_server_stats() {
     }
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 #[test]
@@ -495,7 +495,7 @@ fn mutation_gate_returns_typed_kinds() {
     assert!(authed.flush(None).is_ok());
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 #[test]
@@ -528,7 +528,7 @@ fn read_only_datasets_reject_mutations_with_403() {
     assert_eq!(e.kind, ErrorKind::Forbidden);
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 /// The attribute query engine over real TCP: filtered windows (buffered,
@@ -636,7 +636,7 @@ fn filtered_windows_and_aggregates_round_trip() {
     assert!(ds.chooser.index + ds.chooser.scan > 0);
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_core::remove_database(&path).ok();
 }
 
 /// A one-shot raw HTTP peer: accepts one connection, reads the request

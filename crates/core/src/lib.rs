@@ -36,7 +36,7 @@
 //! let mut session = Session::new(Rect::new(0.0, 0.0, 1000.0, 1000.0));
 //! let view = session.view(&qm).unwrap();
 //! assert!(view.total_ms() >= 0.0);
-//! # std::fs::remove_file(&path).ok();
+//! # gvdb_core::remove_database(&path).ok();
 //! ```
 
 pub mod birdview;
@@ -74,3 +74,6 @@ pub use service::{
 };
 pub use session::{Filters, Session};
 pub use workspace::SharedWorkspace;
+
+/// Remove a preprocessed database with its WAL and WAL archives.
+pub use gvdb_storage::wal::remove_database;

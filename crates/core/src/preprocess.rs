@@ -364,7 +364,7 @@ mod tests {
             .window(db.pool(), &Rect::new(-1e9, -1e9, 1e9, 1e9))
             .unwrap();
         assert_eq!(all.len() as u64, layer0.row_count());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -378,7 +378,7 @@ mod tests {
         };
         let (_db, report) = preprocess(&g, &path, &cfg).unwrap();
         assert_eq!(report.k, 4); // 200 nodes / 50
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -397,7 +397,7 @@ mod tests {
         let (db, _) = preprocess(&g, &path, &cfg).unwrap();
         let hits = db.layer(0).unwrap().search_nodes("lonely");
         assert_eq!(hits.len(), 1);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -411,7 +411,7 @@ mod tests {
             t.partitioning + t.layout + t.organize + t.abstraction + t.indexing
         );
         assert!(t.indexing > Duration::ZERO);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -444,8 +444,8 @@ mod tests {
             bytes_seq, bytes_par,
             "database layout must not depend on thread count"
         );
-        std::fs::remove_file(&path_seq).ok();
-        std::fs::remove_file(&path_par).ok();
+        gvdb_storage::wal::remove_database(&path_seq).ok();
+        gvdb_storage::wal::remove_database(&path_par).ok();
     }
 
     #[test]
@@ -460,7 +460,7 @@ mod tests {
         let (_db, report) = preprocess(&g, &path, &cfg).unwrap();
         assert_eq!(report.threads.layout, 2);
         assert!(report.threads.row_building >= 1);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]

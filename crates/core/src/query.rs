@@ -1588,7 +1588,7 @@ mod tests {
         assert!(resp.client.comm_render_ms > 0.0);
         assert!(resp.total_ms() >= resp.client.comm_render_ms);
         assert_eq!(resp.json.edge_count, resp.rows.len());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1611,7 +1611,7 @@ mod tests {
         let stats = qm.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1625,7 +1625,7 @@ mod tests {
         // Both repeats hit, each with its own rows.
         assert!(qm.window_query(0, &a).unwrap().cache_hit);
         assert!(qm.window_query(0, &b).unwrap().cache_hit);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1656,7 +1656,7 @@ mod tests {
         assert!(!after.cache_hit, "edits must invalidate cached windows");
         assert_eq!(after.rows.len(), before.rows.len() + 1);
         assert!(after.rows.iter().any(|(_, r)| &*r.edge_label == "edited"));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// Ground truth for a window, straight off the table (no cache).
@@ -1688,7 +1688,7 @@ mod tests {
         assert_eq!(*resp.rows, cold_rows(&qm, 0, &w2), "row-for-row identical");
         assert_eq!(resp.json.edge_count, resp.rows.len());
         assert_eq!(qm.cache_stats().partial_hits, 1);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1704,7 +1704,7 @@ mod tests {
         // Zoom back in: pure subset, nothing to fetch.
         let resp = qm.window_query(0, &inner).unwrap();
         assert!(resp.cache_hit, "inner window still cached exactly");
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1719,7 +1719,7 @@ mod tests {
         assert!(resp.delta);
         assert_eq!(resp.rows_fetched, 0, "subset pan needs no heap access");
         assert_eq!(*resp.rows, cold_rows(&qm, 0, &small));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1773,7 +1773,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(agg.rows, expected.len() as u64);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// The node objects of a payload, in id order.
@@ -1854,7 +1854,7 @@ mod tests {
         assert!(delta.delta);
         let cold = build_graph_json(&cold_rows(&qm, 0, &w2));
         assert_eq!(node_objects(&delta.json), node_objects(&cold));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1866,7 +1866,7 @@ mod tests {
         let resp = qm.window_query(0, &far).unwrap();
         assert!(!resp.delta && !resp.cache_hit);
         assert_eq!(qm.cache_stats().partial_hits, 0);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1884,7 +1884,7 @@ mod tests {
         let ghost = Rect::new(9e6, 9e6, 9.1e6, 9.1e6);
         let resp = qm.window_query_anchored(0, &w3, Some(&ghost)).unwrap();
         assert_eq!(*resp.rows, cold_rows(&qm, 0, &w3));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1930,7 +1930,7 @@ mod tests {
         assert!(!l0_deleted.cache_hit);
         assert_eq!(l0_deleted.rows.len(), l0_before.rows.len());
         assert!(qm.window_query(1, &w).unwrap().cache_hit);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1961,7 +1961,7 @@ mod tests {
         let resp = qm.window_query(0, &w2).unwrap();
         assert!(!resp.delta, "no stale anchor may survive the edit");
         assert!(resp.rows.iter().any(|(_, r)| &*r.edge_label == "fresh"));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1997,7 +1997,7 @@ mod tests {
 
         qm.delete_row(0, rid).unwrap();
         assert_eq!(qm.layer_epoch(0), 2, "delete bumps too");
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2013,7 +2013,7 @@ mod tests {
         // Whole cache invalidated: both layers re-query cold.
         assert!(!qm.window_query(0, &w).unwrap().cache_hit);
         assert!(!qm.window_query(1, &w).unwrap().cache_hit);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2023,7 +2023,7 @@ mod tests {
             qm.window_query(99, &Rect::new(0.0, 0.0, 1.0, 1.0)),
             Err(StorageError::LayerNotFound(_))
         ));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2040,7 +2040,7 @@ mod tests {
             .rows
             .iter()
             .any(|(_, r)| r.node1_id == hits[0].node_id || r.node2_id == hits[0].node_id));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2052,7 +2052,7 @@ mod tests {
         for (_, r) in &rows {
             assert!(r.node1_id == hits[0].node_id || r.node2_id == hits[0].node_id);
         }
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2062,6 +2062,6 @@ mod tests {
         let l0 = qm.window_query(0, &everything).unwrap();
         let top = qm.window_query(qm.layer_count() - 1, &everything).unwrap();
         assert!(top.rows.len() < l0.rows.len());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

@@ -1013,7 +1013,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(err.message.contains("default"), "{}", err.message);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1106,7 +1106,7 @@ mod tests {
             assert_eq!(err.kind, ErrorKind::BadRequest);
             assert!(sink.frames.is_empty(), "rejected before the header");
         }
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1157,7 +1157,7 @@ mod tests {
         ));
         let err = svc.call(&window_req(Some(id))).unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1227,7 +1227,7 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1262,7 +1262,7 @@ mod tests {
         }
         assert_eq!(rows(), before, "no row written");
         assert_eq!(qm.layer_epoch(0), 0, "epoch unchanged");
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1295,7 +1295,7 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1345,7 +1345,7 @@ mod tests {
             panic!("wrong outcome")
         };
         assert_eq!(buffered.response.rows.len() as u64, rows);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1384,7 +1384,7 @@ mod tests {
         assert_eq!(trailer.frames, 1);
         assert_eq!(trailer.rows, batch.len() as u64);
         assert!(trailer.rows > 0);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1487,7 +1487,7 @@ mod tests {
         };
         assert!(buffered.response.cache_hit);
         assert_eq!(reassembled, buffered.response.json.text);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// Decode every Rows frame in `sink` to a plain graph fragment,
@@ -1594,7 +1594,7 @@ mod tests {
         assert!(packed_frames > 1, "hit stream negotiated packed frames");
         let reassembled = gvdb_api::reassemble_graph(fragments.iter().map(String::as_str)).unwrap();
         assert_eq!(reassembled, buffered.response.json.text);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// Random pans over one dataset: whatever mix of cold, exact-hit and
@@ -1692,7 +1692,7 @@ mod tests {
             sources.contains(&Some(Source::Delta)),
             "some pan spliced a delta window: {sources:?}"
         );
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1768,7 +1768,7 @@ mod tests {
             assert!(sink.frames.is_empty());
             assert_eq!(state(), before, "the rejected mutation ran");
         }
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -1877,8 +1877,8 @@ mod tests {
         assert_eq!(by_name("patents").epochs[0], 1);
         assert_eq!(by_name("dblp").epochs[0], 0);
 
-        std::fs::remove_file(&rdf_path).ok();
-        std::fs::remove_file(&cite_path).ok();
+        gvdb_storage::wal::remove_database(&rdf_path).ok();
+        gvdb_storage::wal::remove_database(&cite_path).ok();
     }
 
     // -- the attribute query engine ------------------------------------------
@@ -2073,7 +2073,7 @@ mod tests {
         }
         assert!(saw_delta, "at least one pan should ride the delta path");
         assert!(saw_nonempty, "the predicates should match something");
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2144,7 +2144,7 @@ mod tests {
         assert_eq!(h.counts.len(), 8);
         assert_eq!(h.counts.iter().sum::<u64>(), hist.nodes);
         assert!(h.lo <= h.hi);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2208,7 +2208,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::NotFound);
         assert!(sink.frames.is_empty());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// Check one stream against the frame grammar — `Header · Rows* ·
@@ -2369,7 +2369,7 @@ mod tests {
         assert_eq!(header.rows_total, trailer.rows);
         assert_eq!(rows, trailer.rows);
         assert!(trailer.rows > 0);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2402,7 +2402,7 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err.kind, ErrorKind::BadRequest);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -2455,6 +2455,6 @@ mod tests {
         }
         assert_eq!(ds.chooser.index, 1);
         assert_eq!(ds.chooser.scan, 2);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

@@ -283,7 +283,7 @@ mod tests {
         let mut s = Session::new(Rect::new(0.0, 0.0, 100.0, 100.0));
         s.pan(50.0, -20.0);
         assert_eq!(s.window(), Rect::new(50.0, -20.0, 150.0, 80.0));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
         s.zoom_by(0.5);
         assert_eq!(s.window(), Rect::new(0.0, 0.0, 100.0, 100.0));
         assert!((s.zoom() - 1.0).abs() < 1e-12);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -308,7 +308,7 @@ mod tests {
         s.layer_down().unwrap();
         assert_eq!(s.layer(), 0);
         assert!(s.set_layer(&qm, 999).is_err());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -323,7 +323,7 @@ mod tests {
             assert!(!row.node1_label.starts_with('"'));
             assert!(!row.node2_label.starts_with('"'));
         }
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -338,7 +338,7 @@ mod tests {
             .rows
             .iter()
             .all(|(_, r)| &*r.edge_label != "rdfs:label"));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
         s.delete_edge(&qm, rid).unwrap();
         let resp = s.view(&qm).unwrap();
         assert!(!resp.rows.iter().any(|(r, _)| *r == rid));
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -400,7 +400,7 @@ mod tests {
         s.zoom_by(1.25);
         let third = s.view(&qm).unwrap();
         assert!(third.delta || third.cache_hit);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -423,7 +423,7 @@ mod tests {
         s.navigate(s.window());
         assert_eq!(s.anchor(), anchor);
         assert!(s.view(&qm).unwrap().cache_hit);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -437,7 +437,7 @@ mod tests {
         s.pan(5.0, 5.0);
         s.layer_down().unwrap();
         assert!(s.anchor().is_none());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -470,7 +470,7 @@ mod tests {
             s1.view(&qm).unwrap().cache_hit,
             "the other layer's cached window survives the edit"
         );
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -490,6 +490,6 @@ mod tests {
         );
         // Zoom back in past native: layer 0.
         assert_eq!(s.zoom_with_auto_layer(&qm, 8192.0).unwrap(), 0);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

@@ -135,6 +135,6 @@ mod tests {
         ] {
             assert!(table.contains(stage), "missing {stage:?} in:\n{table}");
         }
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

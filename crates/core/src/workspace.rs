@@ -209,8 +209,8 @@ mod tests {
         assert!(ws.remove("Patents").is_some());
         assert_eq!(ws.len(), 1);
 
-        std::fs::remove_file(&rdf_path).ok();
-        std::fs::remove_file(&cite_path).ok();
+        gvdb_storage::wal::remove_database(&rdf_path).ok();
+        gvdb_storage::wal::remove_database(&cite_path).ok();
     }
 
     #[test]
@@ -233,7 +233,7 @@ mod tests {
         assert_eq!(ws.dataset("patents").unwrap().layer_count(), 5);
         assert!(ws.open("missing", &tmp("nonexistent")).is_err());
         assert_eq!(ws.len(), 1);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -276,6 +276,6 @@ mod tests {
         // Unknown names list the alternatives.
         let err = ws.resolve(Some("acm")).unwrap_err();
         assert!(err.message.contains("patents"), "{}", err.message);
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }

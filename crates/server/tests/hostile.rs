@@ -245,7 +245,7 @@ fn slow_stream_reader_is_disconnected_not_served_by_a_parked_worker() {
     // The slow connection was terminated by the server, not by us.
     slow.join().unwrap();
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]

@@ -133,7 +133,7 @@ fn serves_layers_window_search_and_stats() {
 
     assert!(server.served() >= 8);
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -213,7 +213,7 @@ fn session_pans_ride_the_delta_path_over_http() {
     assert!(h.contains("404 Not Found"), "double close is a 404");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -253,7 +253,7 @@ fn concurrent_clients_get_consistent_bodies() {
     }
     assert!(server.served() >= 161);
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -273,7 +273,7 @@ fn wait_returns_when_a_shutdown_handle_fires() {
         TcpStream::connect(addr).is_err(),
         "listener must be gone after the handle fires"
     );
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -296,5 +296,5 @@ fn shutdown_joins_and_stops_accepting() {
         }
     };
     assert!(refused, "server must not answer after shutdown");
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }

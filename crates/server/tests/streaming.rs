@@ -148,7 +148,7 @@ fn streamed_window_is_chunked_and_negotiation_works() {
     assert!(head.contains("Content-Length"), "{head}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn zero_row_window_streams_header_and_trailer_only() {
     assert_eq!(trailer.frames, 0);
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -221,7 +221,7 @@ fn pipelined_mixed_streamed_and_buffered_requests_drain_in_order() {
         .any(|f| matches!(f, ApiFrame::Rows(RowBatch::Graph { reused: true, .. }))));
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// A client that vanishes mid-stream must not wedge the worker: with a
@@ -263,7 +263,7 @@ fn client_disconnect_mid_stream_frees_the_worker() {
     }
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// A sink that fires one edit the moment the first row batch is emitted —
@@ -360,6 +360,6 @@ fn racing_edit_mid_stream_surfaces_in_the_trailer_epoch() {
     ws.call_streamed(&request, &mut buffer).unwrap();
     assert!(matches!(buffer.frames.first(), Some(ApiFrame::Header(h)) if h.dataset == "only"));
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&path2).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
+    gvdb_storage::wal::remove_database(&path2).ok();
 }

@@ -203,7 +203,7 @@ fn v1_flow_over_a_single_manager() {
     assert!(stats.datasets[0].cache.hits >= 1);
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -244,7 +244,7 @@ fn rpc_endpoint_speaks_serialized_requests() {
     assert!(body.contains("unknown op"), "{body}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -297,7 +297,7 @@ fn keep_alive_reuses_one_connection() {
     assert!(response.contains("Connection: close"), "{response}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -336,7 +336,7 @@ fn pipelined_requests_drain_in_order() {
         );
     }
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -401,7 +401,7 @@ fn oversized_headers_are_rejected_not_buffered() {
     assert!(h.contains("200 OK"), "{h}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// The mutation gate over raw HTTP: without the configured API key,
@@ -466,7 +466,7 @@ fn mutation_gate_and_flush_over_http() {
     assert!(pages > 0, "the edit left dirty pages: {body}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// A coordinate that parses to infinity (`1e999`) is refused with a typed
@@ -485,7 +485,7 @@ fn non_finite_edge_coordinate_is_a_400() {
     assert_eq!(e.kind, gvdb_api::ErrorKind::BadRequest);
     assert!(e.message.contains("finite"), "{}", e.message);
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// A node is one object across rows: an edge that reuses a stored node
@@ -547,7 +547,7 @@ fn reusing_a_node_id_with_other_data_is_a_400() {
     assert!(h.contains("200 OK"), "{h} {body}");
     assert_eq!(layer0(&mut client), (rows_before + 1, 1));
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// Per-dataset read-only mode: a 403 with the Forbidden kind, no key
@@ -581,7 +581,7 @@ fn read_only_dataset_rejects_mutations() {
     assert!(h.contains("200 OK"), "{h}");
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// The acceptance-criterion test: a workspace with two datasets behind
@@ -788,6 +788,6 @@ fn multi_dataset_serving_with_isolated_mutations() {
     assert_eq!(server.session_count(), 1);
 
     server.shutdown();
-    std::fs::remove_file(&rdf_path).ok();
-    std::fs::remove_file(&cite_path).ok();
+    gvdb_storage::wal::remove_database(&rdf_path).ok();
+    gvdb_storage::wal::remove_database(&cite_path).ok();
 }

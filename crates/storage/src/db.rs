@@ -264,7 +264,7 @@ mod tests {
             assert!(l0.len() >= l2.len());
             assert!(!l2.is_empty());
         }
-        std::fs::remove_file(&path).ok();
+        wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -276,7 +276,7 @@ mod tests {
             db.create_layer("layer0", rows(5, 0.0)),
             Err(StorageError::LayerExists(_))
         ));
-        std::fs::remove_file(&path).ok();
+        wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -298,7 +298,7 @@ mod tests {
             let db = GraphDb::open(&path).unwrap();
             assert_eq!(db.layer(0).unwrap().row_count(), 51);
         }
-        std::fs::remove_file(&path).ok();
+        wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -320,10 +320,7 @@ mod tests {
             assert_eq!(db.checkpoint_seq(), 2);
             assert_eq!(wal::list_archives(&path).unwrap(), vec![1, 2]);
         }
-        for seq in [1, 2] {
-            std::fs::remove_file(wal::archive_path(&path, seq)).ok();
-        }
-        std::fs::remove_file(&path).ok();
+        wal::remove_database(&path).ok();
     }
 
     #[test]
@@ -335,6 +332,6 @@ mod tests {
         }
         let db = GraphDb::open(&path).unwrap();
         assert_eq!(db.layer_count(), 0);
-        std::fs::remove_file(&path).ok();
+        wal::remove_database(&path).ok();
     }
 }

@@ -251,6 +251,23 @@ pub fn retain_archives(db_path: &Path, keep: usize) -> Result<Vec<u64>> {
     Ok(removed)
 }
 
+/// Remove a database file, its active WAL and every `<db>.wal.<seq>`
+/// archive; files that do not exist are skipped. This is how a caller
+/// throws a database away: removing only the `.db` leaves the archives
+/// that each flush writes next to it.
+pub fn remove_database(db_path: &Path) -> Result<()> {
+    let archives = list_archives(db_path)?.into_iter();
+    let files = archives.map(|seq| archive_path(db_path, seq));
+    for path in files.chain([wal_path(db_path), db_path.to_path_buf()]) {
+        match std::fs::remove_file(&path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(StorageError::Io(e)),
+        }
+    }
+    Ok(())
+}
+
 fn decode(bytes: &[u8]) -> Option<Checkpoint> {
     let mut pos = 0usize;
     let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
@@ -478,6 +495,22 @@ mod tests {
         for seq in [4, 5] {
             std::fs::remove_file(archive_path(&db, seq)).unwrap();
         }
+    }
+
+    #[test]
+    fn remove_database_takes_wal_and_archives() {
+        let db = tmp("remove-db");
+        std::fs::write(&db, b"db").unwrap();
+        for seq in 1..=3u64 {
+            write_checkpoint_seq(&db, seq, &[], &page_with(seq), &[]).unwrap();
+            archive(&db, seq).unwrap();
+        }
+        write_checkpoint_seq(&db, 4, &[], &page_with(4), &[]).unwrap();
+        remove_database(&db).unwrap();
+        assert!(!db.exists() && !wal_path(&db).exists());
+        assert!(list_archives(&db).unwrap().is_empty());
+        // Nothing left to remove is not an error.
+        remove_database(&db).unwrap();
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn committed_wal_is_replayed_on_open() {
         .search_nodes("node 1000")
         .contains(&1000));
     assert!(!wal::wal_path(&path).exists(), "WAL removed after recovery");
-    std::fs::remove_file(&path).ok();
+    wal::remove_database(&path).ok();
 }
 
 /// Simulate "crash during WAL write": a torn WAL must be discarded and the
@@ -103,7 +103,7 @@ fn torn_wal_is_ignored_and_old_state_served() {
     let db = GraphDb::open(&path).unwrap();
     assert_eq!(db.layer(0).unwrap().row_count(), 20);
     assert!(!wal::wal_path(&path).exists(), "torn WAL cleaned up");
-    std::fs::remove_file(&path).ok();
+    wal::remove_database(&path).ok();
 }
 
 /// Flush twice with edits between: each checkpoint supersedes the last and
@@ -121,7 +121,7 @@ fn successive_checkpoints_leave_no_wal() {
     drop(db);
     let db = GraphDb::open(&path).unwrap();
     assert_eq!(db.layer(0).unwrap().row_count(), 11);
-    std::fs::remove_file(&path).ok();
+    wal::remove_database(&path).ok();
 }
 
 /// Follower killed mid-apply: a shipped checkpoint whose local WAL write
@@ -176,10 +176,7 @@ fn follower_killed_mid_apply_recovers_to_complete_checkpoint() {
     }
 
     for p in [&leader, &follower] {
-        for seq in wal::list_archives(p).unwrap() {
-            std::fs::remove_file(wal::archive_path(p, seq)).ok();
-        }
-        std::fs::remove_file(p).ok();
+        wal::remove_database(p).ok();
     }
 }
 
@@ -196,5 +193,5 @@ fn create_clears_stale_wal() {
     let db = GraphDb::create(&path).unwrap();
     assert_eq!(db.layer_count(), 0);
     assert!(!wal::wal_path(&path).exists());
-    std::fs::remove_file(&path).ok();
+    wal::remove_database(&path).ok();
 }

@@ -85,5 +85,5 @@ fn main() {
     println!("\nfilter 'cites': {before} rows -> {after} rows in window");
     assert!(after <= before);
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }

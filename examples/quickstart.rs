@@ -94,5 +94,5 @@ fn main() {
         abstract_view.json.edge_count
     );
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }

@@ -93,5 +93,5 @@ fn main() {
         v.json.node_count
     );
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }

@@ -47,7 +47,7 @@
 //! let mut session = Session::new(Rect::new(0.0, 0.0, 1000.0, 1000.0));
 //! let view = session.view(&qm).unwrap();
 //! println!("{} nodes, {} edges in view", view.json.node_count, view.json.edge_count);
-//! # std::fs::remove_file(&path).ok();
+//! # graphvizdb::storage::wal::remove_database(&path).ok();
 //! ```
 
 pub use gvdb_abstract as abstraction;

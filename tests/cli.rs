@@ -55,7 +55,7 @@ impl Db {
 impl Drop for Db {
     fn drop(&mut self) {
         std::fs::remove_file(&self.edges).ok();
-        std::fs::remove_file(&self.db).ok();
+        gvdb_storage::wal::remove_database(&self.db).ok();
     }
 }
 

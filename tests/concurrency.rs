@@ -78,7 +78,7 @@ fn concurrent_sessions_share_one_database() {
         assert_eq!(total, expected_total, "reader saw inconsistent data");
     }
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -184,7 +184,7 @@ fn concurrent_sessions_hammer_one_cached_query_manager() {
         "cache shard bytes must sum to totals"
     );
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// A sentinel edge the writer inserts: edit `k` lands inside the strip
@@ -331,7 +331,7 @@ fn readers_never_observe_a_stale_or_torn_window() {
         "layer-1 entries must still be servable (not epoch-poisoned)"
     );
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 /// Writer + readers with deletes mixed in: epochs advance by exactly one
@@ -422,7 +422,7 @@ fn insert_delete_churn_keeps_epochs_and_stats_coherent() {
     assert_eq!(sum, total, "shard counters must reconcile after the churn");
     assert!(total.hits + total.misses > 0);
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ fn run_connection_churn(budget: Duration) {
     );
 
     server.shutdown();
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]

@@ -78,7 +78,7 @@ fn full_lifecycle_wikidata_like() {
         .count();
     assert_eq!(got.rows.len(), expected);
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -152,7 +152,7 @@ fn keyword_search_then_navigate_then_edit() {
     let hits = qm.keyword_search(0, "added").unwrap();
     assert_eq!(hits.len(), 2, "both new nodes searchable after reopen");
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -182,7 +182,7 @@ fn multi_level_navigation_is_consistent() {
     assert!((c_before.x - c_after.x).abs() < 1e-9);
     assert_eq!(session.window().width(), 2_000.0);
 
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -210,7 +210,7 @@ fn every_layout_choice_works_end_to_end() {
             .window_query(0, &Rect::new(-1e12, -1e12, 1e12, 1e12))
             .unwrap();
         assert_eq!(all.rows.len(), graph.edge_count(), "layout {layout:?}");
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 }
 
@@ -238,7 +238,7 @@ fn summarization_hierarchy_end_to_end() {
         .window_query(1, &Rect::new(-1e12, -1e12, 1e12, 1e12))
         .unwrap();
     assert!(resp.json.text.contains("+"), "supernode labels aggregated");
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }
 
 #[test]
@@ -259,5 +259,5 @@ fn missing_layer_errors_are_clean() {
         Err(StorageError::LayerNotFound(msg)) => assert!(msg.contains("42")),
         other => panic!("expected LayerNotFound, got {other:?}"),
     }
-    std::fs::remove_file(&path).ok();
+    gvdb_storage::wal::remove_database(&path).ok();
 }

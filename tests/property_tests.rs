@@ -127,7 +127,7 @@ proptest! {
             prop_assert_eq!(&heap.get(&pool, *rid).unwrap(), record);
         }
         prop_assert_eq!(heap.scan(&pool).unwrap().len(), rids.len());
-        std::fs::remove_file(&path).ok();
+        gvdb_storage::wal::remove_database(&path).ok();
     }
 
     /// Trie search agrees with a linear substring scan (word-level).
@@ -240,5 +240,9 @@ static PAN_DB: std::sync::LazyLock<(QueryManager, std::path::PathBuf)> =
             },
         )
         .expect("preprocess");
+        // A static is never dropped, so remove the files now: on Unix the
+        // open descriptors keep the database readable. Elsewhere the open
+        // file cannot be removed and stays behind.
+        gvdb_storage::wal::remove_database(&path).ok();
         (QueryManager::new(db), path)
     });
