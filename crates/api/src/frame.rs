@@ -199,11 +199,19 @@ impl ApiFrame {
         }
     }
 
-    /// Serialize to the wire form `{"frame":…, …}`. Graph fragments are
-    /// spliced in verbatim (they are already JSON), mirroring the
-    /// zero-copy envelope of [`crate::ApiResponse::to_json`]; a packed
-    /// image is base64-encoded straight into the frame text.
+    /// Serialize to the wire form `{"frame":…, …}`; see
+    /// [`ApiFrame::write_json`].
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the wire form to `out`. Graph fragments are spliced in
+    /// verbatim (they are already JSON), mirroring the zero-copy envelope
+    /// of [`crate::ApiResponse::to_json`]; a packed image is
+    /// base64-encoded straight into the frame text.
+    pub fn write_json(&self, out: &mut String) {
         let rows_head = |out: &mut String, nodes: u64, edges: u64, reused: bool| {
             out.push_str("{\"frame\":\"rows\",\"nodes\":");
             push_u64(out, nodes);
@@ -222,27 +230,20 @@ impl ApiFrame {
                 edges,
                 reused,
             }) => {
-                let mut out = String::with_capacity(graph.len() + 64);
-                rows_head(&mut out, *nodes, *edges, *reused);
+                out.reserve(graph.len() + 64);
+                rows_head(out, *nodes, *edges, *reused);
                 out.push_str(",\"graph\":");
                 out.push_str(graph);
                 out.push('}');
-                out
             }
             ApiFrame::Rows(RowBatch::Packed { image, reused }) => {
-                let mut out = String::with_capacity(image.as_bytes().len().div_ceil(3) * 4 + 80);
-                rows_head(
-                    &mut out,
-                    image.nodes() as u64,
-                    image.edges() as u64,
-                    *reused,
-                );
+                out.reserve(image.as_bytes().len().div_ceil(3) * 4 + 80);
+                rows_head(out, image.nodes() as u64, image.edges() as u64, *reused);
                 out.push_str(",\"packed\":\"");
-                image.push_b64(&mut out); // base64: no JSON escaping needed
+                image.push_b64(out); // base64: no JSON escaping needed
                 out.push_str("\"}");
-                out
             }
-            other => other.to_value().to_string(),
+            other => out.push_str(&other.to_value().to_string()),
         }
     }
 
@@ -264,7 +265,7 @@ impl ApiFrame {
                 members.push(("rows_total".into(), Json::uint(h.rows_total)));
             }
             ApiFrame::Rows(RowBatch::Graph { .. }) | ApiFrame::Rows(RowBatch::Packed { .. }) => {
-                unreachable!("graph and packed batches serialize in to_json")
+                unreachable!("graph and packed batches serialize in write_json")
             }
             ApiFrame::Rows(RowBatch::Hits { hits }) => {
                 members.push((

@@ -210,15 +210,24 @@ pub fn chunked_head(keep_alive: bool) -> &'static [u8] {
     }
 }
 
-/// Encode one HTTP chunk (`<hex size>\r\n<data>\r\n`): size prefix,
-/// payload and terminator in one buffer, so one frame is one outbox
-/// push (and, with `TCP_NODELAY`, usually one packet train).
-pub fn encode_chunk(data: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(data.len() + 16);
-    buf.extend_from_slice(format!("{:x}\r\n", data.len()).as_bytes());
-    buf.extend_from_slice(data);
-    buf.extend_from_slice(b"\r\n");
-    buf
+/// Encode one HTTP chunk (`<hex size>\r\n<data>\r\n`) around the text
+/// `write` appends: size prefix, payload and terminator in one buffer, so
+/// one frame is one outbox push (and, with `TCP_NODELAY`, usually one
+/// packet train). The text is written once, straight into that buffer:
+/// room for the widest size line is left in front of it, and the line is
+/// put right before the text once its length is known. The chunk is the
+/// returned buffer from the returned offset on.
+pub fn encode_chunk(write: impl FnOnce(&mut String)) -> (Vec<u8>, usize) {
+    // Hex digits of the largest size, then CRLF.
+    const ROOM: usize = 2 * std::mem::size_of::<usize>() + 2;
+    let mut text = " ".repeat(ROOM);
+    write(&mut text);
+    let line = format!("{:x}\r\n", text.len() - ROOM);
+    text.push_str("\r\n");
+    let mut buf = text.into_bytes();
+    let start = ROOM - line.len();
+    buf[start..ROOM].copy_from_slice(line.as_bytes());
+    (buf, start)
 }
 
 /// The terminator of a chunked response (`0\r\n\r\n`). Until this is on
@@ -263,8 +272,16 @@ mod tests {
 
     #[test]
     fn chunk_encoding_is_hex_prefixed() {
-        assert_eq!(encode_chunk(b"abc"), b"3\r\nabc\r\n");
-        assert_eq!(encode_chunk(&[0u8; 16]).len(), 4 + 16 + 2);
+        let chunk = |text: &str| {
+            let (buf, start) = encode_chunk(|out| out.push_str(text));
+            buf[start..].to_vec()
+        };
+        assert_eq!(chunk("abc"), b"3\r\nabc\r\n");
+        assert_eq!(chunk(""), b"0\r\n\r\n");
+        for len in [15, 16, 255, 4096, 70_000] {
+            let text = "x".repeat(len);
+            assert_eq!(chunk(&text), format!("{len:x}\r\n{text}\r\n").as_bytes());
+        }
         assert!(std::str::from_utf8(chunked_head(true))
             .unwrap()
             .contains(STREAM_CONTENT_TYPE));

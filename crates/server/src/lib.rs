@@ -462,10 +462,11 @@ impl OutboxSink<'_> {
                 .push_patient(http::chunked_head(self.keep_alive))?;
             self.started = true;
         }
-        let mut payload = frame.to_json();
-        payload.push('\n');
-        self.conn
-            .push_patient(&http::encode_chunk(payload.as_bytes()))
+        let (chunk, start) = http::encode_chunk(|out| {
+            frame.write_json(out);
+            out.push('\n');
+        });
+        self.conn.push_patient(&chunk[start..])
     }
 }
 
