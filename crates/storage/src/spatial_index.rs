@@ -18,10 +18,9 @@
 //! is one leaf entry whose box (padded so the pieces cover the edge) sets
 //! the leaf's MBR. A long edge then widens only the leaves near each of
 //! its pieces, and a small window descends to few leaves. Every entry
-//! still holds the **whole** edge's endpoints and its row id. A window
-//! that meets several pieces of one edge tests it only in the leaf that
-//! holds the point where the edge enters the window, and the sort and
-//! dedup in [`PagedRTree::windows`] drop the rare duplicate left over.
+//! still holds the **whole** edge's endpoints and its row id, so a window
+//! that meets several pieces of one edge finds it once per piece, and the
+//! sort and dedup in [`PagedRTree::windows`] keep one hit.
 //!
 //! Leaves store each edge's **endpoints**, not its bounding box, so the
 //! leaf scan runs the exact [`Segment::intersects_rect`] test and a
@@ -251,29 +250,15 @@ impl PagedRTree {
                 .any(|w| bbox.intersects(w) && seg.intersects_rect(w))
         };
         let live = |row: &u64| !self.tombstones.contains(row);
-        // A clipped edge has an entry in the leaf of each of its pieces, so
-        // a leaf runs the exact test only on the edges it owns (see `owns`).
         if let Some(root) = self.root {
-            // The root's box is not stored; every point lies in it.
-            let plane = Rect::new(
-                f64::NEG_INFINITY,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                f64::INFINITY,
-            );
-            let mut stack = vec![(root, plane)];
-            while let Some((pid, mbr)) = stack.pop() {
+            let mut stack = vec![root];
+            while let Some(pid) = stack.pop() {
                 pool.with_page(pid, |p| match p.get_u16(0) {
                     compress::TAG_LEAF_SEGMENTS => {
                         compress::scan_rtree_leaf(p, |x1, y1, x2, y2, row| {
                             let seg = Segment::new(Point::new(x1, y1), Point::new(x2, y2));
                             let bbox = seg.bbox();
-                            let owned = windows.iter().any(|w| {
-                                bbox.intersects(w)
-                                    && owns(&mbr, &seg, &bbox, w)
-                                    && seg.intersects_rect(w)
-                            });
-                            if owned && live(&row) {
+                            if crosses(&seg, &bbox) && live(&row) {
                                 out.push(Hit {
                                     bbox,
                                     row,
@@ -309,7 +294,7 @@ impl PagedRTree {
                             }
                             let payload = p.get_u64(base + 32);
                             if tag == TAG_INTERNAL {
-                                stack.push((PageId(payload), bbox));
+                                stack.push(PageId(payload));
                             } else if live(&payload) {
                                 out.push(Hit {
                                     bbox,
@@ -414,36 +399,6 @@ struct Piece {
     entry: u32,
     /// Position of the piece along its segment, from endpoint `a`.
     part: u32,
-}
-
-/// Whether the leaf whose box is `leaf` owns `seg` (with box `bbox`)
-/// for window `w`: the box holds the point where `seg`, walking from `a`,
-/// enters `w` (`a` itself when inside). Every piece lies in its leaf's
-/// box, so that point lies in the box of a leaf the window descends to,
-/// and the other leaves holding a piece of `seg` skip it. The point is
-/// off by rounding, far less than the pieces' pad, and is clamped to
-/// `bbox` so that it cannot leave a box at a side the clamp fixed; when
-/// rounding puts it outside `w` (a touch), every leaf owns the edge and
-/// the dedup in [`PagedRTree::windows`] keeps one hit. The caller has
-/// checked that `bbox` meets `w`, so `a` lies beyond a side only if `b`
-/// reaches it. Written without branches: which of these tests pass is
-/// close to random, and mispredictions would cost more than the tests.
-fn owns(leaf: &Rect, seg: &Segment, bbox: &Rect, w: &Rect) -> bool {
-    let (a, b) = (seg.a, seg.b);
-    // Parameter at which the segment reaches [lo, hi] on one axis: 0 when
-    // `a` is in it, NaN (which `max` ignores) for a zero span inside it.
-    let enter =
-        |a: f64, b: f64, lo: f64, hi: f64| ((lo - a).max(0.0) + (a - hi).max(0.0)) / (b - a).abs();
-    let t = enter(a.x, b.x, w.min_x, w.max_x).max(enter(a.y, b.y, w.min_y, w.max_y));
-    // `max` then `min`, not `clamp`: a NaN `t` (a zero-length edge) lands
-    // on the box instead of panicking.
-    let p = Point::new(
-        (a.x + t * (b.x - a.x)).max(bbox.min_x).min(bbox.max_x),
-        (a.y + t * (b.y - a.y)).max(bbox.min_y).min(bbox.max_y),
-    );
-    let inside =
-        |r: &Rect| (p.x >= r.min_x) & (p.x <= r.max_x) & (p.y >= r.min_y) & (p.y <= r.max_y);
-    !inside(w) | inside(leaf)
 }
 
 /// Cut every segment where it crosses the lines of a [`CLIP_GRID`]²
