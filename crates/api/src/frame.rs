@@ -37,10 +37,31 @@
 //! * [`ApiFrame::Error`] — a typed failure after the stream started (a
 //!   failure before the first frame stays a plain HTTP error response).
 //!
-//! Like the rest of this crate the codec is hand-rolled canonical JSON
-//! over [`Json`]; every frame round-trips byte-exactly (graph fragments
-//! are spliced verbatim on write, and on read validated and handed
-//! through byte for byte).
+//! ## Chunk payloads
+//!
+//! Each frame travels as one HTTP chunk. A chunk payload is either a
+//! JSON frame or a binary packed `Rows` frame, told apart by its first
+//! byte:
+//!
+//! ```text
+//! payload     := json-frame | packed-rows
+//! json-frame  := '{' … '}' '\n'   Header, Rows, Summary, Trailer, Error
+//! packed-rows := tag image        Rows of a stream that asked for packed
+//! tag         := 0x01             reused:false
+//!              | 0x02             reused:true
+//! ```
+//!
+//! The image is the raw [`PackedImage`] bytes, which carry the frame's
+//! node and edge counts themselves; a tag is never `{`. A plain stream
+//! is therefore NDJSON from end to end, and only a stream that asked for
+//! the packed encoding ever carries a binary chunk.
+//! [`ApiFrame::write_chunk`] writes a payload and
+//! [`ApiFrame::from_chunk`] reads one.
+//!
+//! Like the rest of this crate the JSON codec is hand-rolled canonical
+//! JSON over [`Json`]; every frame round-trips byte-exactly (graph
+//! fragments are spliced verbatim on write, and on read validated and
+//! handed through byte for byte).
 
 use crate::json::Json;
 use crate::pack::{push_u64, PackedImage};
@@ -57,6 +78,14 @@ use serde::{Deserialize, Serialize};
 /// edge row (edge object + its share of node objects) measures ~128
 /// bytes, so a batch of 128 rows fills one calibrated chunk.
 pub const DEFAULT_CHUNK_ROWS: usize = 128;
+
+/// First byte of a binary packed `Rows` chunk whose batch was not all
+/// reused (see the module docs).
+pub const TAG_PACKED: u8 = 0x01;
+
+/// First byte of a binary packed `Rows` chunk whose every row was
+/// reused from the cache / delta anchor.
+pub const TAG_PACKED_REUSED: u8 = 0x02;
 
 /// The opening frame of a streamed result (see module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,7 +131,8 @@ pub enum RowBatch {
     /// [`crate::pack`]): the same nodes and edges a [`RowBatch::Graph`]
     /// frame would carry, as a delta/dictionary-coded binary image.
     /// Emitted only when the client asked for it
-    /// (`ApiRequest::Window { packed: true }`); decode with
+    /// (`ApiRequest::Window { packed: true }`), as a binary chunk (see
+    /// the module docs); decode with
     /// [`RowBatch::into_plain`] to get the exact plain fragment back.
     Packed {
         /// The batch content as a validated binary image.
@@ -199,30 +229,71 @@ impl ApiFrame {
         }
     }
 
-    /// Serialize to the wire form `{"frame":…, …}`; see
-    /// [`ApiFrame::write_json`].
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+    /// Append this frame's chunk payload to `out` (see the module docs):
+    /// the JSON text and a `\n` for every frame except packed rows, which
+    /// are their tag byte followed by the image bytes, copied once.
+    pub fn write_chunk(&self, out: &mut Vec<u8>) {
+        match self {
+            ApiFrame::Rows(RowBatch::Packed { image, reused }) => {
+                out.reserve(1 + image.as_bytes().len());
+                out.push(if *reused {
+                    TAG_PACKED_REUSED
+                } else {
+                    TAG_PACKED
+                });
+                out.extend_from_slice(image.as_bytes());
+            }
+            json => {
+                json.write_json(out);
+                out.push(b'\n');
+            }
+        }
     }
 
-    /// Append the wire form to `out`. Graph fragments are spliced in
+    /// Read one chunk payload written by [`ApiFrame::write_chunk`]: a
+    /// first byte of `{` is a JSON frame ([`ApiFrame::from_json`]), a
+    /// packed tag is a binary `Rows` frame whose image is validated by
+    /// [`PackedImage::from_bytes`]. Anything else — an empty payload, an
+    /// unknown tag, a corrupt image — is a `BadRequest`.
+    pub fn from_chunk(payload: &[u8]) -> ApiResult<ApiFrame> {
+        match payload.first() {
+            Some(b'{') => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|_| ApiError::bad_request("malformed frame: not UTF-8"))?;
+                ApiFrame::from_json(text.trim_end())
+            }
+            Some(&tag @ (TAG_PACKED | TAG_PACKED_REUSED)) => {
+                let image = PackedImage::from_bytes(payload[1..].to_vec())
+                    .map_err(ApiError::bad_request)?;
+                Ok(ApiFrame::Rows(RowBatch::Packed {
+                    image,
+                    reused: tag == TAG_PACKED_REUSED,
+                }))
+            }
+            Some(tag) => Err(ApiError::bad_request(format!(
+                "unknown frame tag 0x{tag:02x}"
+            ))),
+            None => Err(ApiError::bad_request("empty frame")),
+        }
+    }
+
+    /// The JSON text of a frame that travels as JSON: every frame but
+    /// packed rows.
+    ///
+    /// # Panics
+    ///
+    /// On a [`RowBatch::Packed`] frame, which has no JSON form; write it
+    /// with [`ApiFrame::write_chunk`].
+    pub fn to_json(&self) -> String {
+        let mut out = Vec::new();
+        self.write_json(&mut out);
+        String::from_utf8(out).expect("frames are written as UTF-8")
+    }
+
+    /// Append the JSON text to `out`. Graph fragments are spliced in
     /// verbatim (they are already JSON), mirroring the zero-copy envelope
-    /// of [`crate::ApiResponse::to_json`]; a packed image is
-    /// base64-encoded straight into the frame text.
-    pub fn write_json(&self, out: &mut String) {
-        let rows_head = |out: &mut String, nodes: u64, edges: u64, reused: bool| {
-            out.push_str("{\"frame\":\"rows\",\"nodes\":");
-            push_u64(out, nodes);
-            out.push_str(",\"edges\":");
-            push_u64(out, edges);
-            out.push_str(if reused {
-                ",\"reused\":true"
-            } else {
-                ",\"reused\":false"
-            });
-        };
+    /// of [`crate::ApiResponse::to_json`].
+    fn write_json(&self, out: &mut Vec<u8>) {
         match self {
             ApiFrame::Rows(RowBatch::Graph {
                 graph,
@@ -231,19 +302,22 @@ impl ApiFrame {
                 reused,
             }) => {
                 out.reserve(graph.len() + 64);
-                rows_head(out, *nodes, *edges, *reused);
-                out.push_str(",\"graph\":");
-                out.push_str(graph);
-                out.push('}');
+                out.extend_from_slice(b"{\"frame\":\"rows\",\"nodes\":");
+                push_u64(out, *nodes);
+                out.extend_from_slice(b",\"edges\":");
+                push_u64(out, *edges);
+                out.extend_from_slice(if *reused {
+                    b",\"reused\":true,\"graph\":"
+                } else {
+                    b",\"reused\":false,\"graph\":"
+                });
+                out.extend_from_slice(graph.as_bytes());
+                out.push(b'}');
             }
-            ApiFrame::Rows(RowBatch::Packed { image, reused }) => {
-                out.reserve(image.as_bytes().len().div_ceil(3) * 4 + 80);
-                rows_head(out, image.nodes() as u64, image.edges() as u64, *reused);
-                out.push_str(",\"packed\":\"");
-                image.push_b64(out); // base64: no JSON escaping needed
-                out.push_str("\"}");
+            ApiFrame::Rows(RowBatch::Packed { .. }) => {
+                panic!("a packed rows frame travels as a binary chunk, not JSON")
             }
-            other => out.push_str(&other.to_value().to_string()),
+            other => out.extend_from_slice(other.to_value().to_string().as_bytes()),
         }
     }
 
@@ -265,7 +339,7 @@ impl ApiFrame {
                 members.push(("rows_total".into(), Json::uint(h.rows_total)));
             }
             ApiFrame::Rows(RowBatch::Graph { .. }) | ApiFrame::Rows(RowBatch::Packed { .. }) => {
-                unreachable!("graph and packed batches serialize in write_json")
+                unreachable!("graph batches serialize in write_json, packed ones as binary")
             }
             ApiFrame::Rows(RowBatch::Hits { hits }) => {
                 members.push((
@@ -310,20 +384,13 @@ impl ApiFrame {
         Json::Obj(members)
     }
 
-    /// Parse the wire form produced by [`ApiFrame::to_json`]. A graph
+    /// Parse the JSON text produced by [`ApiFrame::to_json`]. A graph
     /// fragment is validated as JSON in place and handed through byte
     /// for byte — no tree is built for it — so round-trips are exact
-    /// (see [`Json::parse_keeping`]). A packed image is read the same
-    /// way, as a slice of `text`, base64-decoded and validated; its
-    /// string must be plain base64, without JSON escapes.
+    /// (see [`Json::parse_keeping`]).
     pub fn from_json(text: &str) -> ApiResult<ApiFrame> {
-        let (v, kept) = Json::parse_keeping(text, &["graph", "packed"])
+        let (v, graph) = Json::parse_keeping(text, "graph")
             .map_err(|e| ApiError::bad_request(format!("malformed frame: {e}")))?;
-        let (graph, packed) = match kept {
-            Some((0, graph)) => (Some(graph), None),
-            Some((_, packed)) => (None, Some(packed)),
-            None => (None, None),
-        };
         let kind = need_str(&v, "frame")?;
         Ok(match kind {
             "header" => ApiFrame::Header(FrameHeader {
@@ -357,22 +424,6 @@ impl ApiFrame {
                                 })
                             })
                             .collect::<ApiResult<_>>()?,
-                    })
-                } else if let Some(packed) = packed {
-                    let text = packed
-                        .strip_prefix('"')
-                        .and_then(|s| s.strip_suffix('"'))
-                        .ok_or_else(|| ApiError::bad_request("packed must be a string"))?;
-                    let image = PackedImage::from_b64(text).map_err(ApiError::bad_request)?;
-                    let (nodes, edges) = (need_u64(&v, "nodes")?, need_u64(&v, "edges")?);
-                    if nodes != image.nodes() as u64 || edges != image.edges() as u64 {
-                        return Err(ApiError::bad_request(
-                            "packed frame counts disagree with its image",
-                        ));
-                    }
-                    ApiFrame::Rows(RowBatch::Packed {
-                        image,
-                        reused: v.get("reused").and_then(Json::as_bool).unwrap_or(false),
                     })
                 } else {
                     ApiFrame::Rows(RowBatch::Graph {
@@ -496,12 +547,55 @@ pub fn rows_envelope_bytes() -> usize {
 mod tests {
     use super::*;
 
+    /// The frame's chunk payload.
+    fn chunk(frame: &ApiFrame) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame.write_chunk(&mut out);
+        out
+    }
+
     fn roundtrip(frame: &ApiFrame) {
-        let wire = frame.to_json();
-        let back = ApiFrame::from_json(&wire).expect("parse frame");
-        assert_eq!(&back, frame, "wire: {wire}");
+        let wire = chunk(frame);
+        let back = ApiFrame::from_chunk(&wire).expect("parse frame");
+        assert_eq!(&back, frame, "wire: {}", String::from_utf8_lossy(&wire));
         // Canonical: a second trip is byte-stable.
-        assert_eq!(back.to_json(), wire);
+        assert_eq!(chunk(&back), wire);
+        match frame {
+            // A packed rows frame is its tag and the raw image.
+            ApiFrame::Rows(RowBatch::Packed { image, reused }) => {
+                let tag = if *reused {
+                    TAG_PACKED_REUSED
+                } else {
+                    TAG_PACKED
+                };
+                assert_eq!(wire[0], tag);
+                assert_eq!(&wire[1..], image.as_bytes());
+            }
+            // Every other frame is its JSON text and a newline.
+            json => {
+                assert_eq!(wire, format!("{}\n", json.to_json()).into_bytes());
+                assert_eq!(&ApiFrame::from_json(&json.to_json()).unwrap(), json);
+            }
+        }
+    }
+
+    fn sample_image() -> PackedImage {
+        crate::pack::PackedRows {
+            nodes: vec![crate::pack::PackedNode {
+                id: 3,
+                label: "n\"3".into(),
+                xbits: 1.25f64.to_bits(),
+                ybits: 2.5f64.to_bits(),
+            }],
+            edges: vec![crate::pack::PackedEdge {
+                rid: 17,
+                source: 3,
+                target: 3,
+                label: "loop".into(),
+                directed: true,
+            }],
+        }
+        .to_image()
     }
 
     #[test]
@@ -530,25 +624,12 @@ mod tests {
             edges: 0,
             reused: true,
         }));
-        roundtrip(&ApiFrame::Rows(RowBatch::Packed {
-            image: crate::pack::PackedRows {
-                nodes: vec![crate::pack::PackedNode {
-                    id: 3,
-                    label: "n\"3".into(),
-                    xbits: 1.25f64.to_bits(),
-                    ybits: 2.5f64.to_bits(),
-                }],
-                edges: vec![crate::pack::PackedEdge {
-                    rid: 17,
-                    source: 3,
-                    target: 3,
-                    label: "loop".into(),
-                    directed: true,
-                }],
-            }
-            .to_image(),
-            reused: false,
-        }));
+        for reused in [false, true] {
+            roundtrip(&ApiFrame::Rows(RowBatch::Packed {
+                image: sample_image(),
+                reused,
+            }));
+        }
         roundtrip(&ApiFrame::Rows(RowBatch::Hits {
             hits: vec![SearchHitDto {
                 node: u64::MAX,
@@ -587,6 +668,142 @@ mod tests {
             frames: 8,
         }));
         roundtrip(&ApiFrame::Error(ApiError::internal("disk on fire")));
+    }
+
+    /// A packed chunk whose image holds several nodes and edges, so that
+    /// mutated copies often still decode.
+    fn sample_packed_chunk() -> Vec<u8> {
+        let mut w = crate::pack::ImageWriter::new();
+        let labels = ["alpha", "alphabet", "é😀", ""];
+        for i in 0..6u64 {
+            let (x, y) = (i as f64 * 1.5, -(i as f64) / 4.0);
+            w.node(10 + i, labels[i as usize % 4], x.to_bits(), y.to_bits());
+        }
+        for i in 0..8u64 {
+            w.edge(
+                i << 16,
+                10 + i % 6,
+                10 + (i * 5) % 6,
+                labels[i as usize % 3],
+                i % 2 == 0,
+            );
+        }
+        chunk(&ApiFrame::Rows(RowBatch::Packed {
+            image: w.finish(),
+            reused: false,
+        }))
+    }
+
+    fn bad_request(payload: &[u8]) -> String {
+        let err = ApiFrame::from_chunk(payload).unwrap_err();
+        assert_eq!(err.kind, crate::ErrorKind::BadRequest, "{}", err.message);
+        err.message
+    }
+
+    #[test]
+    fn a_truncated_image_is_a_typed_error() {
+        let wire = sample_packed_chunk();
+        assert!(ApiFrame::from_chunk(&wire).is_ok());
+        for end in 1..wire.len() {
+            bad_request(&wire[..end]);
+        }
+    }
+
+    #[test]
+    fn an_unknown_tag_is_a_typed_error() {
+        let wire = sample_packed_chunk();
+        for tag in 0..=u8::MAX {
+            if [b'{', TAG_PACKED, TAG_PACKED_REUSED].contains(&tag) {
+                continue;
+            }
+            let mut payload = wire.clone();
+            payload[0] = tag;
+            let message = bad_request(&payload);
+            assert!(message.contains("unknown frame tag"), "{message}");
+        }
+        // A JSON frame must open with `{`: leading whitespace is no tag.
+        bad_request(b" {\"frame\":\"trailer\"}");
+    }
+
+    #[test]
+    fn a_corrupt_image_is_a_typed_error() {
+        let wire = sample_packed_chunk();
+        // A trailing byte after the last edge.
+        let mut long = wire.clone();
+        long.push(0);
+        assert!(bad_request(&long).contains("trailing bytes"));
+        // A node count far past what the image holds.
+        let mut counts = wire.clone();
+        counts[1] = 0x7F;
+        bad_request(&counts);
+        // Not UTF-8 in a JSON frame.
+        bad_request(b"{\"frame\":\"\xff\"}");
+    }
+
+    #[test]
+    fn an_empty_payload_is_a_typed_error() {
+        assert!(bad_request(b"").contains("empty frame"));
+        // A tag with no image after it.
+        bad_request(&[TAG_PACKED]);
+        bad_request(&[TAG_PACKED_REUSED]);
+    }
+
+    #[test]
+    fn json_rows_frames_no_longer_carry_a_packed_member() {
+        let text = "{\"frame\":\"rows\",\"nodes\":0,\"edges\":0,\"packed\":\"AAAA\"}";
+        assert_eq!(bad_request(text.as_bytes()), "missing field 'graph'");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Any bytes after a packed tag decode to an image whose owned
+        /// rows re-encode to the same rows and print the same fragment,
+        /// or are a typed error; never a panic.
+        #[test]
+        fn any_bytes_after_a_tag_decode_or_fail_cleanly(
+            reused in proptest::prelude::any::<bool>(),
+            random in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            edits in proptest::collection::vec(
+                (proptest::prelude::any::<usize>(), proptest::prelude::any::<u8>()),
+                0..4,
+            ),
+            cut in proptest::prelude::any::<usize>(),
+            mutate in proptest::prelude::any::<bool>(),
+        ) {
+            // Either random bytes, or a valid image with a few bytes
+            // replaced and possibly cut short.
+            let image = if mutate {
+                let mut bytes = sample_packed_chunk()[1..].to_vec();
+                let len = bytes.len();
+                for (at, byte) in edits {
+                    bytes[at % len] = byte;
+                }
+                if cut.is_multiple_of(4) {
+                    bytes.truncate(cut % len);
+                }
+                bytes
+            } else {
+                random
+            };
+            let mut payload = vec![if reused { TAG_PACKED_REUSED } else { TAG_PACKED }];
+            payload.extend_from_slice(&image);
+            match ApiFrame::from_chunk(&payload) {
+                Ok(ApiFrame::Rows(RowBatch::Packed { image: got, reused: r })) => {
+                    proptest::prop_assert_eq!(r, reused);
+                    proptest::prop_assert_eq!(got.as_bytes(), &image[..]);
+                    let rows = got.to_rows();
+                    proptest::prop_assert_eq!(
+                        (rows.nodes.len(), rows.edges.len()),
+                        (got.nodes(), got.edges())
+                    );
+                    proptest::prop_assert_eq!(&rows.to_image().to_rows(), &rows);
+                    proptest::prop_assert_eq!(rows.to_graph_fragment(), got.to_graph_fragment());
+                }
+                Ok(other) => panic!("a tagged chunk decoded to {other:?}"),
+                Err(e) => proptest::prop_assert_eq!(e.kind, crate::ErrorKind::BadRequest),
+            }
+        }
     }
 
     #[test]

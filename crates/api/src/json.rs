@@ -36,33 +36,25 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// The member [`Json::parse_keeping`] validated in place, if any: the
-/// index of its key in `keys` and its raw text.
-pub type Kept<'t> = Option<(usize, &'t str)>;
-
 impl Json {
     /// Parse one JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, String> {
-        Parser::new(text).document(&[])
+        Parser::new(text).document(None)
     }
 
     /// [`Json::parse`], except that the first member of a top-level
-    /// object whose key is one of `keys` is **validated in place** instead
-    /// of built: it is checked against the same grammar (the same
-    /// escapes, surrogate rules and number acceptance, so exactly the
-    /// documents [`Json::parse`] accepts are accepted), left out of the
-    /// returned tree and returned as a slice of `text`, byte for byte,
-    /// with the index of its key in `keys`. Later members under any of
-    /// `keys` are validated the same way and dropped. Row
-    /// frames use this to hand their graph payload (or packed image)
+    /// object under `key` is **validated in place** instead of built: it
+    /// is checked against the same grammar (the same escapes, surrogate
+    /// rules and number acceptance, so exactly the documents
+    /// [`Json::parse`] accepts are accepted), left out of the returned
+    /// tree and returned as a slice of `text`, byte for byte. Later
+    /// members under `key` are validated the same way and dropped. Row
+    /// frames and window envelopes use this to hand their graph payload
     /// through without building a tree for it and printing it back.
-    pub fn parse_keeping<'t>(text: &'t str, keys: &[&str]) -> Result<(Json, Kept<'t>), String> {
+    pub fn parse_keeping<'t>(text: &'t str, key: &str) -> Result<(Json, Option<&'t str>), String> {
         let mut p = Parser::new(text);
-        let value = p.document(keys)?;
-        Ok((
-            value,
-            p.kept.map(|(key, start, end)| (key, &text[start..end])),
-        ))
+        let value = p.document(Some(key))?;
+        Ok((value, p.kept.map(|(start, end)| &text[start..end])))
     }
 
     /// Member `key` of an object (None for non-objects / missing keys).
@@ -258,9 +250,9 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Key index and byte range of the member [`Json::parse_keeping`]
-    /// validated in place.
-    kept: Option<(usize, usize, usize)>,
+    /// Byte range of the member [`Json::parse_keeping`] validated in
+    /// place.
+    kept: Option<(usize, usize)>,
 }
 
 impl<'a> Parser<'a> {
@@ -273,9 +265,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// One whole document; a top-level object's first member under one
-    /// of `keep` is validated in place (see [`Json::parse_keeping`]).
-    fn document(&mut self, keep: &[&str]) -> Result<Json, String> {
+    /// One whole document; a top-level object's first member under
+    /// `keep` is validated in place (see [`Json::parse_keeping`]).
+    fn document(&mut self, keep: Option<&str>) -> Result<Json, String> {
         self.skip_ws();
         let value = if self.peek() == Some(b'{') {
             self.object(keep)?
@@ -335,7 +327,7 @@ impl<'a> Parser<'a> {
                 })?;
                 Ok(Json::Arr(items))
             }
-            Some(b'{') => self.object(&[]),
+            Some(b'{') => self.object(None),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected byte 0x{other:02x} at offset {}",
@@ -408,15 +400,15 @@ impl<'a> Parser<'a> {
 
     /// An object; its members under `keep` are validated in place, not
     /// built, and the first one's range is recorded.
-    fn object(&mut self, keep: &[&str]) -> Result<Json, String> {
+    fn object(&mut self, keep: Option<&str>) -> Result<Json, String> {
         let mut members = Vec::new();
         self.seq(b'{', b'}', |p| {
             let key = p.string()?;
             p.colon()?;
-            if let Some(idx) = keep.iter().position(|k| *k == key) {
+            if keep == Some(key.as_str()) {
                 let start = p.pos;
                 p.skip_value()?;
-                p.kept.get_or_insert((idx, start, p.pos));
+                p.kept.get_or_insert((start, p.pos));
             } else {
                 members.push((key, p.value()?));
             }
@@ -709,12 +701,12 @@ mod tests {
             let doc = in_graph_member(bad);
             assert!(Json::parse(&doc).is_err(), "parse accepted {doc:?}");
             assert!(
-                Json::parse_keeping(&doc, &["graph"]).is_err(),
+                Json::parse_keeping(&doc, "graph").is_err(),
                 "parse_keeping accepted {doc:?}"
             );
             // The bare value, kept as a member of a one-member object.
             let bare = format!("{{\"graph\":{bad}}}");
-            assert!(Json::parse_keeping(&bare, &["graph"]).is_err(), "{bare:?}");
+            assert!(Json::parse_keeping(&bare, "graph").is_err(), "{bare:?}");
         }
         let accepted = [
             "null",
@@ -739,8 +731,7 @@ mod tests {
         for good in accepted {
             let doc = in_graph_member(good);
             let full = Json::parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
-            let (tree, kept) = Json::parse_keeping(&doc, &["graph"]).unwrap();
-            let kept = kept.map(|(_, slice)| slice);
+            let (tree, kept) = Json::parse_keeping(&doc, "graph").unwrap();
             assert_eq!(kept, Some(good.trim()), "{doc:?}");
             // The kept member reparses to what the full tree holds.
             assert_eq!(
@@ -759,15 +750,12 @@ mod tests {
     #[test]
     fn keeping_takes_the_first_top_level_member_only() {
         let doc = r#"{"a":{"graph":1},"graph":[2],"graph":[3]}"#;
-        let (tree, kept) = Json::parse_keeping(doc, &["graph"]).unwrap();
-        assert_eq!(kept, Some((0, "[2]")));
+        let (tree, kept) = Json::parse_keeping(doc, "graph").unwrap();
+        assert_eq!(kept, Some("[2]"));
         assert_eq!(tree, Json::parse(r#"{"a":{"graph":1}}"#).unwrap());
         // Not an object, or no such member: nothing is kept.
-        assert_eq!(Json::parse_keeping("[1]", &["graph"]).unwrap().1, None);
-        assert_eq!(
-            Json::parse_keeping("{\"b\":1}", &["graph"]).unwrap().1,
-            None
-        );
+        assert_eq!(Json::parse_keeping("[1]", "graph").unwrap().1, None);
+        assert_eq!(Json::parse_keeping("{\"b\":1}", "graph").unwrap().1, None);
         // Errors are worded as parse words them.
         for bad in [
             "{\"graph\":[1,}",
@@ -775,7 +763,7 @@ mod tests {
             "{\"graph\":1.2.3}",
         ] {
             assert_eq!(
-                Json::parse_keeping(bad, &["graph"]).unwrap_err(),
+                Json::parse_keeping(bad, "graph").unwrap_err(),
                 Json::parse(bad).unwrap_err()
             );
         }

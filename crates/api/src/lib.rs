@@ -42,7 +42,7 @@ pub mod repl;
 
 pub use frame::{
     reassemble_graph, rows_envelope_bytes, ApiFrame, FrameHeader, RowBatch, TrailerFrame,
-    DEFAULT_CHUNK_ROWS,
+    DEFAULT_CHUNK_ROWS, TAG_PACKED, TAG_PACKED_REUSED,
 };
 pub use json::{escape_into, Json};
 pub use pack::{ImageWriter, PackedEdge, PackedImage, PackedNode, PackedRows};
@@ -914,6 +914,13 @@ impl ApiRequest {
         )
     }
 
+    /// Whether the request negotiated the packed `Rows` encoding
+    /// (`encoding=packed`): the only kind of stream whose `Rows` frames
+    /// travel as binary chunks (see [`frame`]).
+    pub fn is_packed(&self) -> bool {
+        matches!(self, ApiRequest::Window { packed: true, .. })
+    }
+
     /// The wire tag of this operation.
     pub fn op(&self) -> &'static str {
         match self {
@@ -1386,9 +1393,8 @@ impl ApiResponse {
     /// through byte for byte without building a tree for it (see
     /// [`Json::parse_keeping`]).
     pub fn from_json(text: &str) -> ApiResult<ApiResponse> {
-        let (v, graph) = Json::parse_keeping(text, &["graph"])
+        let (v, graph) = Json::parse_keeping(text, "graph")
             .map_err(|e| ApiError::bad_request(format!("malformed response: {e}")))?;
-        let graph = graph.map(|(_, slice)| slice);
         let kind = need_str(&v, "kind")?;
         Ok(match kind {
             "datasets" => ApiResponse::Datasets {

@@ -22,12 +22,13 @@
 //! The server writes an image with [`ImageWriter`], which borrows every
 //! label from the caller's rows — any frame can be packed this way, in
 //! whatever node order the frame's plain twin lists its nodes, spliced
-//! delta windows included. The image rides inside the JSON frame as a
-//! base64 string (`"packed":"…"`, see `frame.rs`). The client validates
-//! it into a [`PackedImage`] and [`PackedImage::to_graph_fragment`]
-//! writes the exact `{"nodes":[…],"edges":[…]}` fragment the plain
-//! `Graph` frame would have carried straight from the image, using the
-//! canonical node and edge writers defined here — `gvdb-core::json`
+//! delta windows included. The image travels raw, as one binary HTTP
+//! chunk behind a one-byte tag (see `frame.rs`), with no JSON envelope
+//! and no base64. The client validates it into a [`PackedImage`] and
+//! [`PackedImage::to_graph_fragment`] writes the exact
+//! `{"nodes":[…],"edges":[…]}` fragment the plain `Graph` frame would
+//! have carried straight from the image, using the canonical node and
+//! edge writers defined here — `gvdb-core::json`
 //! delegates to the same functions, which is what makes "decode on the
 //! client, reassemble, compare byte-for-byte" a meaningful invariant
 //! instead of a hope. [`PackedRows`] is the owned form of the same
@@ -203,7 +204,7 @@ fn put_u64(out: &mut impl Sink, v: u64) {
 
 /// Append the decimal form of `v` (the bytes of `v.to_string()`)
 /// without allocating.
-pub(crate) fn push_u64(out: &mut String, v: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     put_u64(out, v);
 }
 
@@ -602,11 +603,6 @@ impl PackedImage {
         })
     }
 
-    /// Validate the base64 text of a JSON frame.
-    pub fn from_b64(text: &str) -> Result<PackedImage, String> {
-        PackedImage::from_bytes(b64_decode(text)?)
-    }
-
     /// Node records in the image.
     pub fn nodes(&self) -> usize {
         self.nodes
@@ -625,11 +621,6 @@ impl PackedImage {
     /// The image bytes, owned.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Append the image's base64 text to `out`.
-    pub fn push_b64(&self, out: &mut String) {
-        b64_encode_into(&self.bytes, out);
     }
 
     /// The owned form of the same content.
@@ -904,7 +895,7 @@ impl Cursor<'_> {
 
 // ---------------------------------------------------------------------------
 // Base64 (standard alphabet, '=' padding) — the build vendors no codec
-// crate, and the JSON layer needs the image as a clean string.
+// crate, and the replication DTOs carry page images as JSON strings.
 // ---------------------------------------------------------------------------
 
 const B64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
@@ -923,19 +914,12 @@ const B64_VALUE: [u8; 256] = {
     table
 };
 
-/// Standard base64 with padding.
-pub fn b64_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
-    b64_encode_into(bytes, &mut out);
-    out
-}
-
-/// [`b64_encode`] appended to `out`: whole 3-byte groups are encoded a
+/// Standard base64 with padding. Whole 3-byte groups are encoded a
 /// block at a time into a stack buffer, then copied in with one
 /// (ASCII-checked) `push_str`.
-fn b64_encode_into(bytes: &[u8], out: &mut String) {
+pub fn b64_encode(bytes: &[u8]) -> String {
     const BLOCK: usize = 192; // input bytes per block: 64 groups
-    out.reserve(bytes.len().div_ceil(3) * 4);
+    let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
     let mut buf = [0u8; BLOCK / 3 * 4];
     let whole = bytes.len() / 3 * 3;
     for block in bytes[..whole].chunks(BLOCK) {
@@ -963,6 +947,7 @@ fn b64_encode_into(bytes: &[u8], out: &mut String) {
         });
         out.push('=');
     }
+    out
 }
 
 /// Inverse of [`b64_encode`]; rejects non-alphabet bytes and bad shapes.
@@ -1137,7 +1122,8 @@ mod tests {
     #[test]
     fn b64_roundtrip_is_lossless() {
         let rows = sample();
-        let image = PackedImage::from_b64(&b64_encode(&rows.encode())).unwrap();
+        let bytes = b64_decode(&b64_encode(&rows.encode())).unwrap();
+        let image = PackedImage::from_bytes(bytes).unwrap();
         assert_eq!((image.nodes(), image.edges()), (2, 2));
         assert_eq!(image.to_rows(), rows);
     }
@@ -1234,9 +1220,9 @@ mod tests {
             cases.extend([t - 1, t, t + 1]);
         }
         for v in cases {
-            let mut out = String::new();
+            let mut out = Vec::new();
             push_u64(&mut out, v);
-            assert_eq!(out, v.to_string());
+            assert_eq!(out, v.to_string().into_bytes());
         }
     }
 
@@ -1371,8 +1357,7 @@ mod tests {
                 let back = PackedRows::decode(&image).unwrap();
                 prop_assert_eq!(&back, &rows);
                 prop_assert_eq!(back.to_graph_fragment(), rows.to_graph_fragment());
-                let b64 = b64_encode(&image);
-                prop_assert_eq!(PackedImage::from_b64(&b64).unwrap().to_rows(), rows);
+                prop_assert_eq!(PackedImage::from_bytes(image).unwrap().to_rows(), rows);
             }
 
             /// The borrowed writer emits the original encoder's bytes.
@@ -1420,9 +1405,9 @@ mod tests {
 
             #[test]
             fn integer_printer_matches_to_string(v in any::<u64>()) {
-                let mut out = String::new();
+                let mut out = Vec::new();
                 push_u64(&mut out, v);
-                prop_assert_eq!(out, v.to_string());
+                prop_assert_eq!(out, v.to_string().into_bytes());
             }
 
             #[test]

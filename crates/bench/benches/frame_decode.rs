@@ -1,8 +1,9 @@
 //! Client-side decode of a rows frame: `ApiFrame::from_json`, which
 //! validates the `graph` member in place and hands it through, against
 //! the reference decode that parses the whole frame into a `Json` tree
-//! and prints `graph` back out; and the packed twin of each frame,
-//! decoded to the same plain fragment (`from_json` + `into_plain`).
+//! and prints `graph` back out; and the packed twin of each frame, a
+//! binary chunk payload (tag byte + image) decoded to the same plain
+//! fragment (`from_chunk` + `into_plain`).
 //!
 //! Frames are written by the server's canonical writers at two sizes:
 //! ≈9 KB (one default-sized streamed batch) and ≈150 KB (a large
@@ -69,8 +70,8 @@ fn plain_frame(rows: &Rows) -> String {
     .to_json()
 }
 
-/// The same rows as a packed rows frame.
-fn packed_frame(rows: &Rows) -> String {
+/// The same rows as a packed rows frame's chunk payload.
+fn packed_frame(rows: &Rows) -> Vec<u8> {
     let mut w = ImageWriter::new();
     for (id, label, x, y) in &rows.nodes {
         w.node(*id, label, x.to_bits(), y.to_bits());
@@ -78,11 +79,13 @@ fn packed_frame(rows: &Rows) -> String {
     for &(rid, source, target) in &rows.edges {
         w.edge(rid, source, target, "cites", true);
     }
+    let mut payload = Vec::new();
     ApiFrame::Rows(RowBatch::Packed {
         image: w.finish(),
         reused: false,
     })
-    .to_json()
+    .write_chunk(&mut payload);
+    payload
 }
 
 fn bench_decode(c: &mut Criterion) {
@@ -93,7 +96,7 @@ fn bench_decode(c: &mut Criterion) {
         let rows = rows(edges);
         let frame = plain_frame(&rows);
         let packed = packed_frame(&rows);
-        let plain = match ApiFrame::from_json(&packed).unwrap() {
+        let plain = match ApiFrame::from_chunk(&packed).unwrap() {
             ApiFrame::Rows(batch) => batch.into_plain(),
             other => panic!("decoded {other:?}"),
         };
@@ -119,8 +122,8 @@ fn bench_decode(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("packed_into_plain", &size),
             &packed,
-            |b, text| {
-                b.iter(|| match ApiFrame::from_json(black_box(text)).unwrap() {
+            |b, payload| {
+                b.iter(|| match ApiFrame::from_chunk(black_box(payload)).unwrap() {
                     ApiFrame::Rows(batch) => batch.into_plain(),
                     other => panic!("decoded {other:?}"),
                 })

@@ -549,6 +549,7 @@ impl GvdbClient {
             reader,
             finished: false,
             broken: false,
+            packed: request.is_packed(),
             last_frame_bytes: 0,
         };
         let header = match frames.next_frame()? {
@@ -750,12 +751,26 @@ fn read_buffered_body(
     reader: &mut BufReader<TcpStream>,
     headers: &[(String, String)],
 ) -> Result<String> {
-    let length: usize = header(headers, "content-length")
+    let length: u64 = header(headers, "content-length")
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| ClientError::Protocol("response without content-length".into()))?;
-    let mut buf = vec![0u8; length];
-    reader.read_exact(&mut buf)?;
+    let buf = read_sized(reader, length, "body")?;
     String::from_utf8(buf).map_err(|_| ClientError::Protocol("non-UTF-8 body".into()))
+}
+
+/// Read exactly `size` bytes, a size the peer announced. The buffer grows
+/// only with the bytes that actually arrive, so a hostile size cannot make
+/// the client allocate it up front; fewer bytes before EOF is a
+/// [`ClientError::Protocol`].
+fn read_sized(reader: &mut BufReader<TcpStream>, size: u64, what: &str) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    let got = reader.by_ref().take(size).read_to_end(&mut buf)?;
+    if got as u64 != size {
+        return Err(ClientError::Protocol(format!(
+            "{what} cut short: {got} of {size} announced bytes"
+        )));
+    }
+    Ok(buf)
 }
 
 /// Low-level chunked-frame reader: one HTTP chunk = one `ApiFrame`.
@@ -763,8 +778,11 @@ struct FrameReader {
     reader: BufReader<TcpStream>,
     finished: bool,
     broken: bool,
+    /// The request asked for `encoding=packed`, the only kind of stream
+    /// that may carry binary `Rows` chunks.
+    packed: bool,
     /// Encoded bytes of the most recently read frame (the chunk payload,
-    /// before JSON decode) — what [`WindowStream::rows_wire_bytes`]
+    /// before decode) — what [`WindowStream::rows_wire_bytes`]
     /// accumulates.
     last_frame_bytes: u64,
 }
@@ -782,10 +800,20 @@ impl FrameReader {
             }
             Ok(Some(payload)) => {
                 self.last_frame_bytes = payload.len() as u64;
-                let text = std::str::from_utf8(&payload)
-                    .map_err(|_| ClientError::Protocol("non-UTF-8 frame".into()))?;
-                let frame = ApiFrame::from_json(text.trim_end()).map_err(|e| {
-                    ClientError::Protocol(format!("bad frame: {e} — chunk: {}", excerpt(text)))
+                let json = payload.first() == Some(&b'{');
+                if !json && !self.packed {
+                    return Err(ClientError::Protocol(format!(
+                        "binary chunk ({} bytes) on a stream that did not ask for packed frames",
+                        payload.len()
+                    )));
+                }
+                let frame = ApiFrame::from_chunk(&payload).map_err(|e| {
+                    ClientError::Protocol(if json {
+                        let text = String::from_utf8_lossy(&payload);
+                        format!("bad frame: {e} — chunk: {}", excerpt(&text))
+                    } else {
+                        format!("bad frame: {e} ({} bytes)", payload.len())
+                    })
                 })?;
                 Ok(Some(frame))
             }
@@ -803,7 +831,7 @@ impl FrameReader {
                 "connection closed mid-stream (no terminating chunk)".into(),
             ));
         }
-        let size = usize::from_str_radix(size_line.trim(), 16)
+        let size = u64::from_str_radix(size_line.trim(), 16)
             .map_err(|_| ClientError::Protocol(format!("bad chunk size: {size_line:?}")))?;
         if size == 0 {
             // Consume the final CRLF after the zero chunk.
@@ -811,8 +839,7 @@ impl FrameReader {
             self.reader.read_line(&mut crlf)?;
             return Ok(None);
         }
-        let mut payload = vec![0u8; size];
-        self.reader.read_exact(&mut payload)?;
+        let payload = read_sized(&mut self.reader, size, "chunk")?;
         let mut crlf = [0u8; 2];
         self.reader.read_exact(&mut crlf)?;
         if &crlf != b"\r\n" {
@@ -974,11 +1001,11 @@ impl WindowStream {
         self.started.elapsed().as_secs_f64() * 1e3
     }
 
-    /// Encoded bytes of every `Rows` frame consumed so far — the actual
-    /// row payload that crossed the wire (envelope included, packed
-    /// frames counted at their compact size). The bench harness compares
-    /// this against the buffered payload to measure the negotiated
-    /// encoding's effect.
+    /// Encoded bytes of every `Rows` frame consumed so far — the chunk
+    /// payloads that crossed the wire (a plain frame's JSON envelope
+    /// included; a packed frame's tag byte and binary image). The bench
+    /// harness compares this against the buffered payload to measure the
+    /// negotiated encoding's effect.
     pub fn rows_wire_bytes(&self) -> u64 {
         self.rows_wire_bytes
     }

@@ -659,14 +659,16 @@ fn raw_peer(response: Vec<u8>) -> (String, std::thread::JoinHandle<()>) {
 
 /// A streamed response whose chunks are `(payload, terminator)` pairs
 /// (a well-formed chunk ends in `\r\n`).
-fn chunked_response(chunks: &[(&str, &str)]) -> Vec<u8> {
+fn chunked_response(chunks: &[(&[u8], &str)]) -> Vec<u8> {
     let mut out =
-        String::from("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n");
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n".to_vec();
     for (payload, terminator) in chunks {
-        out.push_str(&format!("{:x}\r\n{payload}{terminator}", payload.len()));
+        out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
+        out.extend_from_slice(payload);
+        out.extend_from_slice(terminator.as_bytes());
     }
-    out.push_str("0\r\n\r\n");
-    out.into_bytes()
+    out.extend_from_slice(b"0\r\n\r\n");
+    out
 }
 
 fn header_frame() -> String {
@@ -695,7 +697,10 @@ fn a_bad_chunk_terminator_is_a_protocol_error() {
     let rows = "{\"frame\":\"rows\",\"nodes\":0,\"edges\":0,\"reused\":false,\"graph\":{\"nodes\":[],\"edges\":[]}}";
     // The header chunk is well formed; the rows chunk is followed by two
     // stray bytes instead of CRLF, so the reader is out of sync.
-    let (addr, peer) = raw_peer(chunked_response(&[(&header_frame(), "\r\n"), (rows, "XY")]));
+    let (addr, peer) = raw_peer(chunked_response(&[
+        (header_frame().as_bytes(), "\r\n"),
+        (rows.as_bytes(), "XY"),
+    ]));
     let client = GvdbClient::new(addr);
     let mut stream = client.window_stream(&WindowParams::default()).unwrap();
     assert_eq!(stream.header.op, "window");
@@ -711,8 +716,8 @@ fn a_bad_frame_error_quotes_a_bounded_excerpt() {
         bad.push_str("\"é😀\",");
     }
     let (addr, peer) = raw_peer(chunked_response(&[
-        (&header_frame(), "\r\n"),
-        (&bad, "\r\n"),
+        (header_frame().as_bytes(), "\r\n"),
+        (bad.as_bytes(), "\r\n"),
     ]));
     let client = GvdbClient::new(addr);
     let mut stream = client.window_stream(&WindowParams::default()).unwrap();
@@ -727,4 +732,107 @@ fn a_bad_frame_error_quotes_a_bounded_excerpt() {
         bad.len()
     );
     peer.join().unwrap();
+}
+
+/// A peer's chunk-size line and `Content-Length` are only claims: the
+/// client reads what arrives, and a size the bytes do not back up is a
+/// typed protocol error, not a huge allocation.
+#[test]
+fn a_huge_chunk_size_is_a_protocol_error() {
+    let mut response = chunked_response(&[(header_frame().as_bytes(), "\r\n")]);
+    response.truncate(response.len() - b"0\r\n\r\n".len());
+    response.extend_from_slice(b"ffffffffffffffff\r\n{\"frame\":");
+    let (addr, peer) = raw_peer(response);
+    let client = GvdbClient::new(addr);
+    let mut stream = client.window_stream(&WindowParams::default()).unwrap();
+    let message = protocol_message(stream.next_batch());
+    assert!(message.contains("cut short"), "{message}");
+    peer.join().unwrap();
+}
+
+#[test]
+fn a_huge_content_length_with_a_short_body_is_a_protocol_error() {
+    let response = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\nConnection: close\r\n\r\n{\"kind\":";
+    let (addr, peer) = raw_peer(response.to_vec());
+    let message = protocol_message(GvdbClient::new(addr).get_text("/v1/healthz"));
+    assert!(message.contains("cut short"), "{message}");
+    peer.join().unwrap();
+}
+
+/// A valid packed chunk payload: the tag byte, then an image of one
+/// node and one edge.
+fn packed_rows_chunk() -> Vec<u8> {
+    let image = gvdb_api::PackedRows {
+        nodes: vec![gvdb_api::PackedNode {
+            id: 1,
+            label: "n".into(),
+            xbits: 1.5f64.to_bits(),
+            ybits: 2.5f64.to_bits(),
+        }],
+        edges: vec![gvdb_api::PackedEdge {
+            rid: 9,
+            source: 1,
+            target: 1,
+            label: "e".into(),
+            directed: true,
+        }],
+    }
+    .to_image();
+    let mut payload = Vec::new();
+    gvdb_api::ApiFrame::Rows(RowBatch::Packed {
+        image,
+        reused: false,
+    })
+    .write_chunk(&mut payload);
+    payload
+}
+
+/// The first batch read from a stream whose second chunk is `rows`.
+fn first_batch(rows: &[u8], params: &WindowParams) -> Result<Option<RowBatch>, ClientError> {
+    let (addr, peer) = raw_peer(chunked_response(&[
+        (header_frame().as_bytes(), "\r\n"),
+        (rows, "\r\n"),
+    ]));
+    let client = GvdbClient::new(addr);
+    let mut stream = client.window_stream(params).unwrap();
+    let batch = stream.next_batch_raw();
+    drop(stream);
+    peer.join().unwrap();
+    batch
+}
+
+#[test]
+fn hostile_binary_chunks_are_protocol_errors() {
+    let packed = WindowParams::default();
+    assert!(packed.packed);
+    let good = packed_rows_chunk();
+    match first_batch(&good, &packed).unwrap() {
+        Some(RowBatch::Packed { image, reused }) => {
+            assert_eq!((image.nodes(), image.edges(), reused), (1, 1, false));
+            assert_eq!(image.as_bytes(), &good[1..]);
+        }
+        other => panic!("decoded {other:?}"),
+    }
+    // A truncated image.
+    let message = protocol_message(first_batch(&good[..good.len() - 1], &packed));
+    assert!(message.contains("truncated"), "{message}");
+    // An unknown tag byte.
+    let mut unknown = good.clone();
+    unknown[0] = 0x7f;
+    let message = protocol_message(first_batch(&unknown, &packed));
+    assert!(message.contains("unknown frame tag 0x7f"), "{message}");
+    // A corrupt image: a label index past the dictionary.
+    let mut corrupt = good.clone();
+    *corrupt.last_mut().unwrap() = 0x7e;
+    let message = protocol_message(first_batch(&corrupt, &packed));
+    assert!(message.contains("out of range"), "{message}");
+    // A tag with no image behind it.
+    protocol_message(first_batch(&good[..1], &packed));
+    // A binary chunk on a stream that asked for plain frames.
+    let plain = WindowParams {
+        packed: false,
+        ..WindowParams::default()
+    };
+    let message = protocol_message(first_batch(&good, &plain));
+    assert!(message.contains("did not ask for packed"), "{message}");
 }

@@ -192,39 +192,49 @@ pub fn encode_response(response: &Response, keep_alive: bool) -> Vec<u8> {
 // Chunked transfer-encoding (the streamed frame path)
 // ---------------------------------------------------------------------------
 
-/// The `Content-Type` of a streamed frame response: each HTTP chunk is
-/// one `\n`-terminated `gvdb_api::ApiFrame` JSON document, so the body as
-/// a whole reads as NDJSON.
+/// The `Content-Type` of a plain streamed frame response: each HTTP
+/// chunk is one `\n`-terminated `gvdb_api::ApiFrame` JSON document, so
+/// the body as a whole reads as NDJSON.
 pub const STREAM_CONTENT_TYPE: &str = "application/x-ndjson";
+
+/// The `Content-Type` of a packed streamed frame response
+/// (`encoding=packed`): still one frame per chunk, but each `Rows` chunk
+/// is a binary packed image behind a one-byte tag (see `gvdb_api::frame`),
+/// so the body is no longer NDJSON.
+pub const PACKED_STREAM_CONTENT_TYPE: &str = "application/x-gvdb-frames";
 
 /// The response head of a streamed result: `200 OK` with
 /// `Transfer-Encoding: chunked` (no `Content-Length` — the stream's size
 /// is unknown when the first frame leaves). The per-response stats that
 /// buffered responses carry in `X-Gvdb-*` headers travel in the Trailer
-/// frame instead.
-pub fn chunked_head(keep_alive: bool) -> &'static [u8] {
-    if keep_alive {
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
-    } else {
-        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-    }
+/// frame instead. `packed` names the packed stream's content type.
+pub fn chunked_head(keep_alive: bool, packed: bool) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+        if packed {
+            PACKED_STREAM_CONTENT_TYPE
+        } else {
+            STREAM_CONTENT_TYPE
+        },
+        if keep_alive { "keep-alive" } else { "close" },
+    )
+    .into_bytes()
 }
 
-/// Encode one HTTP chunk (`<hex size>\r\n<data>\r\n`) around the text
+/// Encode one HTTP chunk (`<hex size>\r\n<data>\r\n`) around the bytes
 /// `write` appends: size prefix, payload and terminator in one buffer, so
 /// one frame is one outbox push (and, with `TCP_NODELAY`, usually one
-/// packet train). The text is written once, straight into that buffer:
-/// room for the widest size line is left in front of it, and the line is
-/// put right before the text once its length is known. The chunk is the
-/// returned buffer from the returned offset on.
-pub fn encode_chunk(write: impl FnOnce(&mut String)) -> (Vec<u8>, usize) {
+/// packet train). The payload is written once, straight into that
+/// buffer: room for the widest size line is left in front of it, and the
+/// line is put right before the payload once its length is known. The
+/// chunk is the returned buffer from the returned offset on.
+pub fn encode_chunk(write: impl FnOnce(&mut Vec<u8>)) -> (Vec<u8>, usize) {
     // Hex digits of the largest size, then CRLF.
     const ROOM: usize = 2 * std::mem::size_of::<usize>() + 2;
-    let mut text = " ".repeat(ROOM);
-    write(&mut text);
-    let line = format!("{:x}\r\n", text.len() - ROOM);
-    text.push_str("\r\n");
-    let mut buf = text.into_bytes();
+    let mut buf = vec![b' '; ROOM];
+    write(&mut buf);
+    let line = format!("{:x}\r\n", buf.len() - ROOM);
+    buf.extend_from_slice(b"\r\n");
     let start = ROOM - line.len();
     buf[start..ROOM].copy_from_slice(line.as_bytes());
     (buf, start)
@@ -273,7 +283,7 @@ mod tests {
     #[test]
     fn chunk_encoding_is_hex_prefixed() {
         let chunk = |text: &str| {
-            let (buf, start) = encode_chunk(|out| out.push_str(text));
+            let (buf, start) = encode_chunk(|out| out.extend_from_slice(text.as_bytes()));
             buf[start..].to_vec()
         };
         assert_eq!(chunk("abc"), b"3\r\nabc\r\n");
@@ -282,9 +292,18 @@ mod tests {
             let text = "x".repeat(len);
             assert_eq!(chunk(&text), format!("{len:x}\r\n{text}\r\n").as_bytes());
         }
-        assert!(std::str::from_utf8(chunked_head(true))
+        // A plain stream's head is the same bytes it always was.
+        assert_eq!(
+            chunked_head(true, false),
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
+        );
+        assert_eq!(
+            chunked_head(false, false),
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        );
+        assert!(String::from_utf8(chunked_head(true, true))
             .unwrap()
-            .contains(STREAM_CONTENT_TYPE));
+            .contains(PACKED_STREAM_CONTENT_TYPE));
         assert_eq!(CHUNKED_END, b"0\r\n\r\n");
     }
 }

@@ -65,7 +65,7 @@
 //! |---|---|---|
 //! | `/v1/datasets` | GET | `ListDatasets` |
 //! | `/v1/layers?dataset=` | GET | `ListLayers` |
-//! | `/v1/window?dataset=&layer=&minx=&miny=&maxx=&maxy=[&session=][&stream=0][&encoding=packed]` | GET | `Window` (cold / hit / anchored delta; **streamed** unless `stream=0`; `encoding=packed` negotiates the compact `Rows` encoding — see `gvdb_api::pack`) |
+//! | `/v1/window?dataset=&layer=&minx=&miny=&maxx=&maxy=[&session=][&stream=0][&encoding=packed]` | GET | `Window` (cold / hit / anchored delta; **streamed** unless `stream=0`; `encoding=packed` negotiates the compact `Rows` encoding: each `Rows` frame is one binary chunk, a tag byte and the raw image, under `Content-Type: application/x-gvdb-frames` — see `gvdb_api::frame` and `gvdb_api::pack`) |
 //! | `/v1/search?dataset=&layer=&q=[&stream=0]` | GET | `Search` (**streamed** unless `stream=0`) |
 //! | `/v1/aggregate?dataset=&layer=&minx=&miny=&maxx=&maxy=&agg=[&field=][&buckets=][&stream=0]` | GET | `Aggregate` (**streamed** unless `stream=0`) |
 //! | `/v1/focus?dataset=&layer=&node=` | GET | `Focus` |
@@ -87,7 +87,7 @@ pub mod parser;
 mod reactor;
 pub mod sys;
 
-pub use http::{Body, Request, Response, STREAM_CONTENT_TYPE};
+pub use http::{Body, Request, Response, PACKED_STREAM_CONTENT_TYPE, STREAM_CONTENT_TYPE};
 // The session registry moved into gvdb-core (each QueryManager owns one);
 // re-exported here for compatibility with pre-v1 embedders.
 pub use gvdb_core::registry::{SessionHandle, SessionId, SessionRegistry};
@@ -451,6 +451,9 @@ fn wants_stream(request: &Request, api_request: &ApiRequest) -> bool {
 struct OutboxSink<'a> {
     conn: &'a ConnHandle,
     keep_alive: bool,
+    /// The request negotiated `encoding=packed`: its rows chunks are
+    /// binary, and the head says so.
+    packed: bool,
     started: bool,
     push_failed: bool,
 }
@@ -459,13 +462,10 @@ impl OutboxSink<'_> {
     fn push_frame(&mut self, frame: &ApiFrame) -> Result<(), gvdb_core::PushError> {
         if !self.started {
             self.conn
-                .push_patient(http::chunked_head(self.keep_alive))?;
+                .push_patient(&http::chunked_head(self.keep_alive, self.packed))?;
             self.started = true;
         }
-        let (chunk, start) = http::encode_chunk(|out| {
-            frame.write_json(out);
-            out.push('\n');
-        });
+        let (chunk, start) = http::encode_chunk(|out| frame.write_chunk(out));
         self.conn.push_patient(&chunk[start..])
     }
 }
@@ -489,9 +489,11 @@ impl FrameSink for OutboxSink<'_> {
 /// outcome ends with [`ConnHandle::finish`], which tells the reactor
 /// how the response concluded once the outbox drains.
 fn serve_streamed(api_request: &ApiRequest, state: &AppState, conn: &ConnHandle, keep_alive: bool) {
+    let packed = api_request.is_packed();
     let mut sink = OutboxSink {
         conn,
         keep_alive,
+        packed,
         started: false,
         push_failed: false,
     };
@@ -502,7 +504,9 @@ fn serve_streamed(api_request: &ApiRequest, state: &AppState, conn: &ConnHandle,
             // produce a well-formed response: queue the chunked head
             // before the terminator rather than emit a bare `0\r\n\r\n`.
             let complete = (sink.started
-                || conn.push_patient(http::chunked_head(keep_alive)).is_ok())
+                || conn
+                    .push_patient(&http::chunked_head(keep_alive, packed))
+                    .is_ok())
                 && conn.push_patient(http::CHUNKED_END).is_ok();
             conn.finish(complete && keep_alive);
         }

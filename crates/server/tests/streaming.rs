@@ -151,6 +151,108 @@ fn streamed_window_is_chunked_and_negotiation_works() {
     gvdb_storage::wal::remove_database(&path).ok();
 }
 
+/// The whole response of one `Connection: close` request, raw.
+fn raw_response(addr: SocketAddr, path: &str) -> Vec<u8> {
+    let (mut stream, mut reader) = connect(addr);
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .expect("request");
+    let mut raw = Vec::new();
+    reader.read_to_end(&mut raw).expect("response");
+    raw
+}
+
+/// The stream a service's frames make on the wire: the head, one chunk
+/// per frame, the terminator.
+fn expected_stream(head: &[u8], frames: &[ApiFrame]) -> Vec<u8> {
+    let mut out = head.to_vec();
+    for frame in frames {
+        let mut payload = Vec::new();
+        frame.write_chunk(&mut payload);
+        out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
+        out.extend_from_slice(&payload);
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"0\r\n\r\n");
+    out
+}
+
+/// Byte for byte, a plain stream is NDJSON chunks: the head names
+/// `application/x-ndjson`, and each chunk is one frame's JSON text and a
+/// newline, `Rows` included. A packed stream names its own content type
+/// and sends each `Rows` frame as a tag byte and the raw image.
+#[test]
+fn stream_bytes_are_one_chunk_per_frame() {
+    let (qm, path) = rdf_manager("rawbytes", 300);
+    let qm = Arc::new(qm);
+    let server = Server::start(qm.clone(), ServerConfig::default()).unwrap();
+    let w = "/v1/window?layer=0&minx=0&miny=0&maxx=2000&maxy=2000";
+    let window = |packed: bool| gvdb_api::ApiRequest::Window {
+        predicate: None,
+        dataset: None,
+        layer: Some(0),
+        window: gvdb_api::RectDto {
+            min_x: 0.0,
+            min_y: 0.0,
+            max_x: 2000.0,
+            max_y: 2000.0,
+        },
+        session: None,
+        packed,
+        rid_range: None,
+    };
+    // Warm the window cache, so the wire and the in-process call below
+    // both answer from it.
+    raw_response(server.addr(), w);
+
+    let plain = raw_response(server.addr(), w);
+    let mut frames = gvdb_core::FrameBuffer::new();
+    qm.call_streamed(&window(false), &mut frames).unwrap();
+    let head: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+    assert_eq!(plain, expected_stream(head, &frames.frames));
+    let body = std::str::from_utf8(&plain[head.len()..]).expect("a plain stream is text");
+    let rows = format!(
+        "{{\"frame\":\"rows\",\"nodes\":{},\"edges\":",
+        match &frames.frames[1] {
+            ApiFrame::Rows(RowBatch::Graph { nodes, .. }) => nodes,
+            other => panic!("second frame {other:?}"),
+        }
+    );
+    assert!(body.contains(&rows), "{}", &body[..200]);
+
+    let packed = raw_response(server.addr(), &format!("{w}&encoding=packed"));
+    let mut frames = gvdb_core::FrameBuffer::new();
+    qm.call_streamed(&window(true), &mut frames).unwrap();
+    let head: &[u8] = b"HTTP/1.1 200 OK\r\nContent-Type: application/x-gvdb-frames\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
+    assert_eq!(packed, expected_stream(head, &frames.frames));
+    let images: Vec<_> = frames
+        .frames
+        .iter()
+        .filter_map(|f| match f {
+            ApiFrame::Rows(RowBatch::Packed { image, .. }) => Some(image.as_bytes()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        images.len(),
+        frames.frames.len() - 2,
+        "every rows frame packs"
+    );
+    for image in images {
+        let at = packed
+            .windows(image.len())
+            .position(|w| w == image)
+            .expect("the raw image is on the wire");
+        assert_eq!(packed[at - 1], gvdb_api::TAG_PACKED_REUSED);
+        assert!(packed[..at - 1].ends_with(format!("{:x}\r\n", image.len() + 1).as_bytes()));
+    }
+
+    server.shutdown();
+    gvdb_storage::wal::remove_database(&path).ok();
+}
+
 #[test]
 fn zero_row_window_streams_header_and_trailer_only() {
     let (qm, path) = rdf_manager("zerorow", 300);

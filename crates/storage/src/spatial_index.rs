@@ -110,28 +110,24 @@ impl PagedRTree {
         }
         // STR: sort by center x, slice, sort slices by center y, chunk.
         // Ties go by row id, then piece order, so the pages come out the
-        // same whatever order the entries arrive in.
+        // same whatever order the entries arrive in. Every sort key is a
+        // field of the piece: no comparison recomputes or looks one up.
         let mut pieces = clip_to_grid(&entries);
-        let str_order = |center: fn(&Rect) -> f64| {
-            let entries = &entries;
-            move |a: &Piece, b: &Piece| {
-                center(&a.key)
-                    .total_cmp(&center(&b.key))
-                    .then(
-                        entries[a.entry as usize]
-                            .1
-                            .cmp(&entries[b.entry as usize].1),
-                    )
-                    .then(a.part.cmp(&b.part))
-            }
-        };
         let n = pieces.len();
         let pages = n.div_ceil(FANOUT);
         let slices = (pages as f64).sqrt().ceil() as usize;
-        pieces.sort_unstable_by(str_order(|r| r.min_x + r.max_x));
+        pieces.sort_unstable_by(|a, b| {
+            a.cx.total_cmp(&b.cx)
+                .then(a.row.cmp(&b.row))
+                .then(a.part.cmp(&b.part))
+        });
         let mut level: Vec<(Rect, u64)> = Vec::with_capacity(pages);
         for slice in pieces.chunks_mut(n.div_ceil(slices)) {
-            slice.sort_unstable_by(str_order(|r| r.min_y + r.max_y));
+            slice.sort_unstable_by(|a, b| {
+                a.cy.total_cmp(&b.cy)
+                    .then(a.row.cmp(&b.row))
+                    .then(a.part.cmp(&b.part))
+            });
             // Pack the y-sorted run into compressed leaves: push until the
             // builder refuses (page full), then seal and start the next
             // leaf. Leaves are variable-fanout — locality decides how many
@@ -393,8 +389,13 @@ const PIECE_PAD: f64 = 1e-12;
 /// One grid piece of an entry's segment: the leaf entry written for it.
 struct Piece {
     /// The piece's box, padded and clamped to the whole segment's box:
-    /// the key for STR order and for the leaf's MBR.
+    /// the leaf's MBR is the union of these.
     key: Rect,
+    /// Twice the center of `key` on each axis, the STR sort keys.
+    cx: f64,
+    cy: f64,
+    /// The entry's row id, the sort's first tie-break.
+    row: u64,
     /// Index into the `build` entries.
     entry: u32,
     /// Position of the piece along its segment, from endpoint `a`.
@@ -414,7 +415,7 @@ fn clip_to_grid(entries: &[(Segment, u64)]) -> Vec<Piece> {
     let cell_h = (extent.max_y - extent.min_y) / CLIP_GRID as f64;
     let mut pieces = Vec::with_capacity(entries.len() * 2);
     let mut cuts: Vec<f64> = Vec::new();
-    for (entry, (seg, _)) in entries.iter().enumerate() {
+    for (entry, &(seg, row)) in entries.iter().enumerate() {
         let (a, b) = (seg.a, seg.b);
         cuts.clear();
         grid_crossings(&mut cuts, a.x, b.x, extent.min_x, cell_w);
@@ -438,6 +439,9 @@ fn clip_to_grid(entries: &[(Segment, u64)]) -> Vec<Piece> {
             );
             pieces.push(Piece {
                 key,
+                cx: key.min_x + key.max_x,
+                cy: key.min_y + key.max_y,
+                row,
                 entry: entry as u32,
                 part: part as u32,
             });
